@@ -28,12 +28,6 @@ let of_run ~trace ~wals ~root ~outcome ~pending ~quiesce_time =
       (if events = [] then quiesce_time else 0.0)
       events
   in
-  let data_flows =
-    List.length
-      (List.filter
-         (function Trace.Send { protocol = false; _ } -> true | _ -> false)
-         events)
-  in
   let release_times =
     List.filter_map
       (function Trace.Locks_released { time; _ } -> Some time | _ -> None)
@@ -54,7 +48,7 @@ let of_run ~trace ~wals ~root ~outcome ~pending ~quiesce_time =
     outcome;
     pending;
     flows = Trace.flows trace;
-    data_flows;
+    data_flows = Trace.data_flows trace;
     tm_writes = Trace.tm_writes trace;
     tm_forced = Trace.tm_forced_writes trace;
     force_ios;

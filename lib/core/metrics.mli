@@ -26,6 +26,11 @@ val of_run :
   pending:bool ->
   quiesce_time:float ->
   t
+(** Summarize one run.  [flows], [data_flows], [tm_writes] and [tm_forced]
+    come from the trace's counters, so they hold in both trace modes; the
+    timeline fields ([completion_time], lock releases, [heuristics],
+    [damage_reports]) read the retained events and are empty on a
+    counter-only trace. *)
 
 val counts : t -> Cost_model.counts
 

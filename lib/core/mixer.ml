@@ -120,16 +120,14 @@ module Audit = struct
     let decided_commit = Hashtbl.create 256 in
     List.iter
       (fun wal ->
-        List.iter
-          (fun (r : Wal.Log_record.t) ->
+        Wal.Log.iter wal (fun (r : Wal.Log_record.t) ->
             match r.kind with
             | Wal.Log_record.Rm_committed ->
                 Hashtbl.replace rm_commits (r.node, r.txn) ();
                 Hashtbl.replace decided_commit r.txn ()
             | Wal.Log_record.Committed | Wal.Log_record.Heuristic_commit ->
                 Hashtbl.replace decided_commit r.txn ()
-            | _ -> ())
-          (Wal.Log.all_records wal))
+            | _ -> ()))
       (Run.all_wals w);
     (rm_commits, decided_commit)
 
@@ -229,12 +227,13 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   (* Driver-side causal events live on the root's process chain: the
      arrival, every lock grant and the commit trigger precede the root
      participant's own first event there, so each transaction's graph is
-     connected from arrival to terminal. *)
-  let crecord ?terminal ?link_from ?(who = w.Run.root) x seg label =
+     connected from arrival to terminal.  Labels come as [label_of y], as
+     in the participant: a closure would be allocated with recording off. *)
+  let crecord ?terminal ?link_from ?(who = w.Run.root) x seg label_of y =
     let c = w.Run.causal in
     if Obs.Causal.enabled c then
       Obs.Causal.record ?terminal ?link_from c ~txn:x.x_txn ~who
-        ~time:(E.now engine) ~seg (label ())
+        ~time:(E.now engine) ~seg (label_of y)
   in
   (* Latency distributions stream into bounded log-bucketed histograms as
      transactions finish: memory stays proportional to the dynamic range of
@@ -276,14 +275,20 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
       x.x_outcome <- Some outcome;
       crecord ~terminal:true x
         (if x.x_timed_out then Obs.Causal.Lock_wait else Obs.Causal.Compute)
-        (fun () ->
+        (fun x ->
           Printf.sprintf "application notified: %s%s"
-            (outcome_to_string outcome)
-            (if x.x_timed_out then " (lock-wait timeout)" else ""));
+            (outcome_to_string (Option.get x.x_outcome))
+            (if x.x_timed_out then " (lock-wait timeout)" else ""))
+        x;
       (match (outcome, x.x_commit_started) with
       | Committed, Some s -> Obs.Histogram.record h_commit (E.now engine -. s)
       | _ -> ());
-      Participant.clear_idle_children (Run.participant w w.Run.root) ~txn:x.x_txn;
+      (* drop the idle-child marks [mark_idle] left at every parent, not
+         only the root's: a cascaded coordinator's would pile up *)
+      List.iter
+        (fun (_, n) ->
+          Participant.clear_idle_children n.Run.participant ~txn:x.x_txn)
+        w.Run.nodes;
       decr outstanding;
       maybe_done ()
     end
@@ -355,7 +360,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
             ignore
               (E.schedule engine ~delay:0.0 (fun () ->
                    crecord ~link_from:w.Run.root ~who:name x Obs.Causal.Compute
-                     (fun () -> "unsolicited vote trigger");
+                     Fun.id "unsolicited vote trigger";
                    Participant.begin_unsolicited n.Run.participant ~txn:x.x_txn)))
         w.Run.nodes
   in
@@ -445,7 +450,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
         fail_txn x
       else begin
         x.x_commit_started <- Some (E.now engine);
-        crecord x Obs.Causal.Compute (fun () -> "commit requested");
+        crecord x Obs.Causal.Compute Fun.id "commit requested";
         mark_idle x;
         trigger_unsolicited x;
         Participant.begin_commit (Run.participant w w.Run.root) ~txn:x.x_txn;
@@ -458,7 +463,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
   let rec acquire x items =
     match items with
     | [] -> start_commit x
-    | { it_node; it_op } :: rest ->
+    | ({ it_node; it_op } as it) :: rest ->
         if not (Net.is_up w.Run.net it_node) then
           (* the member is down right now: fail fast rather than doing work
              a restart would silently forget *)
@@ -476,12 +481,13 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
             crecord x
               (if waited > 1e-9 then Obs.Causal.Lock_wait
                else Obs.Causal.Compute)
-              (fun () ->
+              (fun it ->
                 let key =
-                  match it_op with
+                  match it.it_op with
                   | Op_update { key } | Op_read { key } -> key
                 in
-                Printf.sprintf "lock granted: %s@%s" key it_node);
+                Printf.sprintf "lock granted: %s@%s" key it.it_node)
+              it;
             if x.x_timed_out then
               (* granted after we gave up: let it go again *)
               Kvstore.abort kv ~txn:x.x_txn (fun () -> ())
@@ -501,7 +507,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     (* this transaction's data exchange carries any deferred acks: the
        "genuinely-next transaction" of the long-locks design *)
     flush_all ();
-    let txn = Printf.sprintf "mx-%d" i in
+    let txn = "mx-" ^ string_of_int i in
     let x =
       {
         x_txn = txn;
@@ -521,7 +527,7 @@ let run_full ?(config = default_config) ?inject ?(causal = Obs.Causal.Off)
     order := txn :: !order;
     incr arrived;
     incr outstanding;
-    crecord x Obs.Causal.Compute (fun () -> "arrival");
+    crecord x Obs.Causal.Compute Fun.id "arrival";
     x.x_timer <-
       Some
         (E.schedule_flat engine ~delay:cfg.lock_timeout ~kind:timeout_kind

@@ -75,8 +75,10 @@ let certificate_valid ~f ~txn ~outcome cert =
   let distinct = List.sort_uniq compare (List.map (fun e -> e.e_replica) good) in
   votes_agree && List.length distinct >= quorum
 
-(* A subordinate's vote is signed too, so a BFT coordinator can detect a
-   vote flipped in flight (the tag no longer matches the carried vote). *)
+(* Under a certified protocol a subordinate's vote is signed too, so a BFT
+   coordinator can detect a vote flipped in flight (the tag no longer
+   matches the carried vote).  Uncertified protocols never check the tag,
+   so their votes carry [""] and skip the digest. *)
 let vote_tag ~src ~txn vote =
   digest (Printf.sprintf "vote|%s|%s|%s" src txn (Types.vote_to_string vote))
 
@@ -132,8 +134,9 @@ type payload =
           (** the voter is a reliable resource whose acknowledgment will be
               implied rather than sent (Vote Reliable, Figure 8) *)
       tag : string;
-          (** simulated signature over (voter, txn, vote); [""] under the
-              non-BFT protocols, which never check it *)
+          (** simulated signature over (voter, txn, vote) under a
+              certified protocol; [""] under the others, which neither
+              compute nor check it *)
     }
   | Decision_msg of {
       txn : string;

@@ -47,7 +47,9 @@ val certificate_valid :
 
 val vote_tag : src:string -> txn:string -> Types.vote -> string
 (** Simulated voter signature over (voter, txn, vote); lets a BFT
-    coordinator detect votes flipped in flight. *)
+    coordinator detect votes flipped in flight.  Only certified protocols
+    (a [p_certify] hook, {!Protocol_intf.t}) sign: under the others a vote
+    carries the empty tag and this digest is never computed. *)
 
 val cert_to_string : certificate -> string
 (** WAL payload encoding; round-trips through {!cert_of_string}. *)
@@ -71,8 +73,9 @@ type payload =
           (** the voter is a reliable resource whose acknowledgment will be
               implied rather than sent (Vote Reliable, Figure 8) *)
       tag : string;
-          (** simulated voter signature ({!vote_tag}); [""] under the
-              non-BFT protocols, which never check it *)
+          (** simulated voter signature ({!vote_tag}) under a certified
+              protocol; [""] under the others, which neither compute nor
+              check it *)
     }
   | Decision_msg of {
       txn : string;

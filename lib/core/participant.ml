@@ -211,9 +211,11 @@ let set_causal t c = t.causal <- Some c
 let note_idle_child t ~txn ~child = Hashtbl.replace t.idle_children (txn, child) ()
 
 let clear_idle_children t ~txn =
-  Hashtbl.iter
-    (fun ((tx, _) as k) () -> if tx = txn then Hashtbl.remove t.idle_children k)
-    (Hashtbl.copy t.idle_children)
+  List.iter
+    (fun (p : profile) -> Hashtbl.remove t.idle_children (txn, p.p_name))
+    t.child_profiles
+
+let idle_child_marks t = Hashtbl.length t.idle_children
 
 let is_suspended t ~child = Hashtbl.mem t.suspended_children child
 
@@ -239,7 +241,75 @@ let cancel_timer t ev_opt =
 let retry_delay (t : t) attempt =
   t.cfg.retry_interval *. (t.cfg.retry_backoff ** float_of_int (min attempt 6))
 
-let trace t ev = Trace.record t.trace ev
+(* ------------------------------------------------------------------ *)
+(* Trace sinks                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Every trace event this node produces goes through one of these.  The
+   paper counters ({!Trace.flows}, {!Trace.tm_writes}, ...) move on every
+   call; the event itself - its record, its boxed timestamp, a bundle's
+   label string - is built only when the trace keeps events, so a
+   counter-only run pays nothing for a sink that is off.  A label comes as
+   [label_of x] rather than as a closure, which the counter-only path would
+   have to allocate too. *)
+let keeps t = Trace.keeps_events t.trace
+
+let trace_send t ~dst ~protocol label_of x =
+  if keeps t then
+    Trace.record t.trace
+      (Trace.Send { time = now t; src = t.name; dst; label = label_of x; protocol })
+  else Trace.count_send t.trace ~protocol
+
+let trace_deliver t ~src payloads =
+  if keeps t then
+    Trace.record t.trace
+      (Trace.Deliver
+         { time = now t; src; dst = t.name; label = Msg.bundle_label payloads })
+
+let trace_log_write t ~node kind ~forced =
+  if keeps t then
+    Trace.record t.trace
+      (Trace.Log_write { time = now t; node; kind; forced; rm = false })
+  else Trace.count_tm_write t.trace ~forced
+
+(* the remaining events feed only the timeline: nothing to count *)
+let trace_decide t outcome =
+  if keeps t then
+    Trace.record t.trace (Trace.Decide { time = now t; node = t.name; outcome })
+
+let trace_locks_released t =
+  if keeps t then
+    Trace.record t.trace (Trace.Locks_released { time = now t; node = t.name })
+
+let trace_complete t outcome ~pending =
+  if keeps t then
+    Trace.record t.trace
+      (Trace.Complete { time = now t; node = t.name; outcome; pending })
+
+let trace_heuristic t action =
+  if keeps t then
+    Trace.record t.trace (Trace.Heuristic { time = now t; node = t.name; action })
+
+let trace_damage t ~node ~reported_to =
+  if keeps t then
+    Trace.record t.trace
+      (Trace.Damage_detected { time = now t; node; reported_to })
+
+let trace_crash t =
+  if keeps t then Trace.record t.trace (Trace.Crash { time = now t; node = t.name })
+
+let trace_restart t =
+  if keeps t then
+    Trace.record t.trace (Trace.Restart { time = now t; node = t.name })
+
+let trace_note t text =
+  if keeps t then
+    Trace.record t.trace (Trace.Note { time = now t; node = t.name; text })
+
+(* A formatted note: the text is formatted only when it is kept. *)
+let trace_notef t fmt =
+  if keeps t then Printf.ksprintf (trace_note t) fmt
+  else Printf.ikfprintf ignore () fmt
 
 (* ------------------------------------------------------------------ *)
 (* Causal recording                                                    *)
@@ -253,11 +323,13 @@ let causal_sink t =
   | Some c when Obs.Causal.enabled c -> Some c
   | _ -> None
 
-let causal_record ?(seg = Obs.Causal.Compute) t ~txn label =
+(* The label comes as [label_of x], like a trace label: a closure over [x]
+   would be allocated with the recorder off too. *)
+let causal_record ?(seg = Obs.Causal.Compute) t ~txn label_of x =
   match causal_sink t with
   | Some c ->
       Obs.Causal.record c ~txn ~who:t.name ~time:(Simkernel.Engine.now t.engine)
-        ~seg (label ())
+        ~seg (label_of x)
   | None -> ()
 
 let observe t name v =
@@ -278,15 +350,23 @@ let phase_name = function
   | Ph_propagating -> "phase-two"
   | Ph_ended -> "ended"
 
+(* The registry histogram each phase's residence time streams into. *)
+let phase_metric = function
+  | Ph_idle -> "phase/idle"
+  | Ph_voting -> "phase/voting"
+  | Ph_in_doubt -> "phase/in-doubt"
+  | Ph_delegated -> "phase/delegated"
+  | Ph_deciding -> "phase/decision"
+  | Ph_propagating -> "phase/phase-two"
+  | Ph_ended -> "phase/ended"
+
 (* Every phase transition goes through here: the residence time of the
    phase being left streams into the registry's "phase/<name>" histogram
    (idle residence is meaningless — states are created on demand). *)
 let set_phase t st ph =
   (match t.registry with
   | Some reg when ph <> st.phase && st.phase <> Ph_idle ->
-      Obs.Registry.observe reg
-        ("phase/" ^ phase_name st.phase)
-        (now t -. st.phase_since)
+      Obs.Registry.observe reg (phase_metric st.phase) (now t -. st.phase_since)
   | _ -> ());
   if ph <> st.phase then begin
     (* Blocking-window accounting: the in-doubt residence is the window
@@ -311,21 +391,25 @@ let bundle_is_protocol payloads =
   not (List.exists (function Msg.Data _ -> true | _ -> false) payloads)
 
 let send t ~dst payloads =
-  trace t
-    (Trace.Send
-       {
-         time = now t;
-         src = t.name;
-         dst;
-         label = Msg.bundle_label payloads;
-         protocol = bundle_is_protocol payloads;
-       });
+  trace_send t ~dst ~protocol:(bundle_is_protocol payloads) Msg.bundle_label
+    payloads;
   (match (causal_sink t, payloads) with
   | Some c, p :: _ ->
       Obs.Causal.send c ~txn:(Msg.payload_txn p) ~src:t.name ~dst ~time:(now t)
         ~label:(Msg.bundle_label payloads)
   | _ -> ());
   ignore (Net.send t.net ~src:t.name ~dst payloads)
+
+(* A vote from this node.  Only a certified protocol checks vote signatures
+   ({!Protocol_bft}); under the others the tag is the documented [""] and
+   no digest is computed. *)
+let vote_msg t ~txn ?(delegation = false) ?(unsolicited = false) ~implied_ack
+    vote =
+  let tag =
+    if Option.is_none t.proto.p_certify then ""
+    else Msg.vote_tag ~src:t.name ~txn vote
+  in
+  Msg.Vote_msg { txn; vote; delegation; unsolicited; implied_ack; tag }
 
 (* ------------------------------------------------------------------ *)
 (* Logging                                                             *)
@@ -342,33 +426,35 @@ let tm_force t ~txn kind k =
   mark_logged t ~txn;
   let record = Wal.Log_record.make ~txn ~node:t.name kind in
   if t.cfg.opts.shared_log && t.profile.p_shares_parent_log then begin
-    trace t
-      (Trace.Log_write { time = now t; node = t.name; kind; forced = false; rm = false });
-    causal_record t ~txn (fun () ->
-        "log append " ^ Wal.Log_record.kind_to_string kind ^ " (shared log)");
+    trace_log_write t ~node:t.name kind ~forced:false;
+    causal_record t ~txn
+      (fun kind ->
+        "log append " ^ Wal.Log_record.kind_to_string kind ^ " (shared log)")
+      kind;
     Wal.Log.append t.log record;
     k ()
   end
   else begin
-    trace t
-      (Trace.Log_write { time = now t; node = t.name; kind; forced = true; rm = false });
-    causal_record t ~txn (fun () ->
-        "force " ^ Wal.Log_record.kind_to_string kind);
+    trace_log_write t ~node:t.name kind ~forced:true;
+    causal_record t ~txn
+      (fun kind -> "force " ^ Wal.Log_record.kind_to_string kind)
+      kind;
     let ep = t.epoch in
     Wal.Log.force t.log record (fun () ->
         if (not t.crashed) && t.epoch = ep then begin
-          causal_record t ~txn ~seg:Obs.Causal.Log_wait (fun () ->
-              Wal.Log_record.kind_to_string kind ^ " durable");
+          causal_record t ~txn ~seg:Obs.Causal.Log_wait
+            (fun kind -> Wal.Log_record.kind_to_string kind ^ " durable")
+            kind;
           k ()
         end)
   end
 
 let tm_append ?payload t ~txn kind =
   mark_logged t ~txn;
-  trace t
-    (Trace.Log_write { time = now t; node = t.name; kind; forced = false; rm = false });
-  causal_record t ~txn (fun () ->
-      "log append " ^ Wal.Log_record.kind_to_string kind);
+  trace_log_write t ~node:t.name kind ~forced:false;
+  causal_record t ~txn
+    (fun kind -> "log append " ^ Wal.Log_record.kind_to_string kind)
+    kind;
   Wal.Log.append t.log (Wal.Log_record.make ~txn ~node:t.name ?payload kind)
 
 (* Force a protocol-prescribed record sequence in order, then continue:
@@ -425,7 +511,7 @@ let votes_digest t st =
 let rec crash t =
   t.crashed <- true;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Crash { time = now t; node = t.name });
+  trace_crash t;
   Net.crash_node t.net t.name;
   Wal.Log.crash t.log;
   Kvstore.crash t.kv;
@@ -464,46 +550,29 @@ and ops_of t =
   match t.ops with
   | Some o -> o
   | None ->
+      (* The pseudo-endpoint [op_charge] bills: not a registered node, so
+         the sequence diagram skips its arrows while the flow and
+         forced-write counters (and so Tables 2-4) see them. *)
+      let replica = t.name ^ "!replica" in
       let o =
         {
           Protocol_intf.op_send = (fun ~dst payloads -> send t ~dst payloads);
           op_force = (fun ~txn kind k -> tm_force t ~txn kind k);
           op_append = (fun ~txn kind -> tm_append t ~txn kind);
-          op_note =
-            (fun text ->
-              trace t (Trace.Note { time = now t; node = t.name; text }));
+          op_note = (fun text -> trace_note t text);
           op_crash_at = (fun point -> maybe_crash t point);
           op_now = (fun () -> now t);
           op_after = (fun ~delay f -> sched_ t ~delay f);
           op_charge =
             (fun ~flows ~forces ->
               (* Synthetic cost for protocol machinery the simulation does
-                 not model as separate nodes (the BFT replica ensemble).
-                 The pseudo-endpoint name is not a registered node, so the
-                 sequence diagram skips these arrows while the flow and
-                 forced-write counters (and so Tables 2-4) see them. *)
-              let replica = t.name ^ "!replica" in
+                 not model as separate nodes (the BFT replica ensemble). *)
               for _ = 1 to flows do
-                trace t
-                  (Trace.Send
-                     {
-                       time = now t;
-                       src = t.name;
-                       dst = replica;
-                       label = "replica-quorum";
-                       protocol = true;
-                     })
+                trace_send t ~dst:replica ~protocol:true Fun.id "replica-quorum"
               done;
               for _ = 1 to forces do
-                trace t
-                  (Trace.Log_write
-                     {
-                       time = now t;
-                       node = replica;
-                       kind = Wal.Log_record.Certificate;
-                       forced = true;
-                       rm = false;
-                     })
+                trace_log_write t ~node:replica Wal.Log_record.Certificate
+                  ~forced:true
               done);
         }
       in
@@ -562,13 +631,7 @@ and participating_children t ~txn =
            || (Hashtbl.mem t.suspended_children p.p_name
               && Hashtbl.mem t.idle_children (txn, p.p_name)))
       then begin
-        trace t
-          (Trace.Note
-             {
-               time = now t;
-               node = t.name;
-               text = Printf.sprintf "leaves out suspended server %s" p.p_name;
-             });
+        trace_notef t "leaves out suspended server %s" p.p_name;
         None
       end
       else
@@ -644,15 +707,9 @@ and start_vote_timer ?(attempt = 0) t st =
                (* re-send Prepare to the silent voters before giving up: a
                   lost Prepare (or lost vote) need not abort the transaction
                   when the configuration allows retransmission *)
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "vote timeout: re-sending Prepare to silent members";
-                    });
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "vote timeout: retransmitting Prepare");
+               trace_note t "vote timeout: re-sending Prepare to silent members";
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "vote timeout: retransmitting Prepare";
                List.iter
                  (fun ch ->
                    if
@@ -677,15 +734,9 @@ and start_vote_timer ?(attempt = 0) t st =
              end
              else begin
                (* missing votes are treated as NO *)
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "vote timeout: presuming NO from silent members";
-                    });
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "vote timeout: presuming NO from silent members");
+               trace_note t "vote timeout: presuming NO from silent members";
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "vote timeout: presuming NO from silent members";
                List.iter
                  (fun ch ->
                    if ch.ch_vote = None && not ch.ch_last_agent then begin
@@ -764,25 +815,15 @@ and maybe_all_votes_in t st =
 (* A subordinate subtree that did nothing but read: vote read-only, write
    nothing, release locks, and drop out of phase two. *)
 and vote_up_read_only t st =
-  trace t (Trace.Locks_released { time = now t; node = t.name });
+  trace_locks_released t;
   send t ~dst:(Option.get st.parent)
-    [
-      Msg.Vote_msg
-        {
-          txn = st.txn;
-          vote = Vote_read_only;
-          delegation = false;
-          unsolicited = false;
-          implied_ack = false;
-          tag = Msg.vote_tag ~src:t.name ~txn:st.txn Vote_read_only;
-        };
-    ];
+    [ vote_msg t ~txn:st.txn ~implied_ack:false Vote_read_only ];
   end_txn t st Committed
 
 and complete_read_only_root t st =
   st.outcome <- Some Committed;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome = Committed });
-  trace t (Trace.Locks_released { time = now t; node = t.name });
+  trace_decide t Committed;
+  trace_locks_released t;
   root_complete t st Committed;
   end_txn t st Committed
 
@@ -791,18 +832,7 @@ and on_voted_no t st =
      voter owns its own abort. *)
   (match st.parent with
   | Some parent ->
-      send t ~dst:parent
-        [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote = Vote_no;
-              delegation = false;
-              unsolicited = false;
-              implied_ack = false;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn Vote_no;
-            };
-        ]
+      send t ~dst:parent [ vote_msg t ~txn:st.txn ~implied_ack:false Vote_no ]
   | None -> ());
   decide t st Aborted
 
@@ -829,15 +859,9 @@ and start_delegation_timer ?(attempt = 0) t st send_delegation =
       Some
         (sched t ~delay:(retry_delay t attempt) (fun () ->
              if st.phase = Ph_delegated then begin
-               trace t
-                 (Trace.Note
-                    {
-                      time = now t;
-                      node = t.name;
-                      text = "delegation unanswered: re-sending to last agent";
-                    });
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "delegation unanswered: retransmitting");
+               trace_note t "delegation unanswered: re-sending to last agent";
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "delegation unanswered: retransmitting";
                send_delegation ();
                start_delegation_timer ~attempt:(attempt + 1) t st
                  send_delegation
@@ -859,18 +883,10 @@ and delegate_to_last_agent t st agent =
            st.children
     in
     let send_delegation () =
-      let vote = Vote_yes { reliable; leave_out_ok = false } in
       send t ~dst:agent.ch_profile.p_name
         [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote;
-              delegation = true;
-              unsolicited = false;
-              implied_ack = false;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn vote;
-            };
+          vote_msg t ~txn:st.txn ~delegation:true ~implied_ack:false
+            (Vote_yes { reliable; leave_out_ok = false });
         ]
     in
     send_delegation ();
@@ -917,18 +933,10 @@ and vote_yes_up t st parent =
       set_phase t st Ph_in_doubt;
       st.sent_vote_reliable <- elide_ack;
       st.sent_vote <- Some (Vote_yes { reliable; leave_out_ok });
-      let vote = Vote_yes { reliable; leave_out_ok } in
       send t ~dst:parent
         [
-          Msg.Vote_msg
-            {
-              txn = st.txn;
-              vote;
-              delegation = false;
-              unsolicited = false;
-              implied_ack = elide_ack;
-              tag = Msg.vote_tag ~src:t.name ~txn:st.txn vote;
-            };
+          vote_msg t ~txn:st.txn ~implied_ack:elide_ack
+            (Vote_yes { reliable; leave_out_ok });
         ];
       if maybe_crash t Cp_after_vote then ()
       else begin
@@ -960,20 +968,10 @@ and begin_unsolicited t ~txn =
               st.local_vote <-
                 Some (Vote_yes { reliable = t.profile.p_reliable; leave_out_ok = false });
               st.sent_vote <- st.local_vote;
-              let vote =
-                Vote_yes { reliable = t.profile.p_reliable; leave_out_ok = false }
-              in
               send t ~dst:parent
                 [
-                  Msg.Vote_msg
-                    {
-                      txn;
-                      vote;
-                      delegation = false;
-                      unsolicited = true;
-                      implied_ack = elide_ack;
-                      tag = Msg.vote_tag ~src:t.name ~txn vote;
-                    };
+                  vote_msg t ~txn ~unsolicited:true ~implied_ack:elide_ack
+                    (Vote_yes { reliable = t.profile.p_reliable; leave_out_ok = false });
                 ];
               start_heuristic_timer t st;
               start_indoubt_timer t st))
@@ -985,9 +983,8 @@ and begin_unsolicited t ~txn =
 and decide t st outcome =
   set_phase t st Ph_deciding;
   st.outcome <- Some outcome;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome });
-  causal_record t ~txn:st.txn (fun () ->
-      "decides " ^ outcome_to_string outcome);
+  trace_decide t outcome;
+  causal_record t ~txn:st.txn (fun o -> "decides " ^ outcome_to_string o) outcome;
   if maybe_crash t Cp_before_decision_log then ()
   else
     let log_decision () =
@@ -1040,8 +1037,8 @@ and after_decision_durable t st =
 
 and apply_local t st outcome k =
   let released () =
-    trace t (Trace.Locks_released { time = now t; node = t.name });
-    causal_record t ~txn:st.txn (fun () -> "releases locks");
+    trace_locks_released t;
+    causal_record t ~txn:st.txn Fun.id "releases locks";
     (* the lock-hostage window a blocked member held its data for: from
        entering in-doubt to the locks actually coming off *)
     (match st.indoubt_entered with
@@ -1129,20 +1126,14 @@ and retry_child t st ch =
       (* one attempt made: stop blocking, resolve in the background *)
       ch.ch_pending <- true;
       st.pending <- true;
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf "outcome pending: %s unreachable, recovery in background"
-                 ch.ch_profile.p_name;
-           });
+      trace_notef t "outcome pending: %s unreachable, recovery in background"
+        ch.ch_profile.p_name;
       maybe_finished t st
     end;
     if ch.ch_retries <= t.cfg.max_retries then begin
-      causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-          "ack overdue: retransmitting decision to " ^ ch.ch_profile.p_name);
+      causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
+        (fun name -> "ack overdue: retransmitting decision to " ^ name)
+        ch.ch_profile.p_name;
       send t ~dst:ch.ch_profile.p_name
         [
           Msg.Decision_msg
@@ -1163,17 +1154,9 @@ and retry_child t st ch =
          indication. *)
       ch.ch_pending <- true;
       st.pending <- true;
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf
-                 "acknowledgment retries exhausted: %s unresolved, decision \
-                  retained"
-                 ch.ch_profile.p_name;
-           });
+      trace_notef t
+        "acknowledgment retries exhausted: %s unresolved, decision retained"
+        ch.ch_profile.p_name;
       maybe_finished t st
     end
   end
@@ -1273,13 +1256,7 @@ and defer_ack_long_locks t st =
      time; in chained runs Stream provides the real one. *)
   if not st.acked_up then begin
     st.acked_up <- true;
-    trace t
-      (Trace.Note
-         {
-           time = now t;
-           node = t.name;
-           text = "long locks: ack deferred to next-transaction data";
-         });
+    trace_note t "long locks: ack deferred to next-transaction data";
     let parent = Option.get st.parent in
     defer_piggyback t ~dst:parent
       [
@@ -1290,15 +1267,14 @@ and defer_ack_long_locks t st =
   end
 
 and root_complete t st outcome =
-  trace t
-    (Trace.Complete { time = now t; node = t.name; outcome; pending = st.pending });
-  causal_record t ~txn:st.txn (fun () ->
-      "completes: " ^ outcome_to_string outcome);
+  trace_complete t outcome ~pending:st.pending;
+  causal_record t ~txn:st.txn
+    (fun o -> "completes: " ^ outcome_to_string o)
+    outcome;
   List.iter
     (fun (d : Msg.damage_report) ->
       t.damage_seen <- (st.txn, d) :: t.damage_seen;
-      trace t
-        (Trace.Damage_detected { time = now t; node = d.d_node; reported_to = t.name }))
+      trace_damage t ~node:d.d_node ~reported_to:t.name)
     st.damage;
   match t.on_root_complete with
   | Some f -> f ~txn:st.txn outcome ~pending:st.pending
@@ -1364,9 +1340,10 @@ and arm_heuristic t st delay action =
            if st.phase = Ph_in_doubt && st.heuristic_action = None then begin
              st.heuristic_action <- Some action;
              st.heuristic_at <- Some (now t);
-             trace t (Trace.Heuristic { time = now t; node = t.name; action });
-             causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                 "HEURISTIC " ^ outcome_to_string action);
+             trace_heuristic t action;
+             causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
+               (fun a -> "HEURISTIC " ^ outcome_to_string a)
+               action;
              let kind =
                match action with
                | Committed -> Wal.Log_record.Heuristic_commit
@@ -1400,13 +1377,7 @@ and start_indoubt_timer ?(attempt = 0) t st =
   in
   if targets = [] then ()
   else if attempt > t.cfg.max_retries then
-    trace t
-      (Trace.Note
-         {
-           time = now t;
-           node = t.name;
-           text = "in doubt: recovery attempts exhausted, still blocked";
-         })
+    trace_note t "in doubt: recovery attempts exhausted, still blocked"
   else
     st.indoubt_timer <-
       Some
@@ -1417,8 +1388,8 @@ and start_indoubt_timer ?(attempt = 0) t st =
                | None -> false
              in
              if st.phase = Ph_in_doubt && still_current then begin
-               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-                   "in doubt: recovery tick");
+               causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt Fun.id
+                 "in doubt: recovery tick";
                t.proto.p_indoubt_tick (ops_of t) ~txn:st.txn ~targets;
                start_indoubt_timer ~attempt:(attempt + 1) t st
              end))
@@ -1430,18 +1401,7 @@ and start_indoubt_timer ?(attempt = 0) t st =
 and handle_prepare t ~src ~txn ~long_locks =
   if Hashtbl.mem t.ended txn then
     (* duplicate from a recovering coordinator: repeat our forgotten state *)
-    send t ~dst:src
-      [
-        Msg.Vote_msg
-          {
-            txn;
-            vote = Vote_no;
-            delegation = false;
-            unsolicited = false;
-            implied_ack = false;
-            tag = Msg.vote_tag ~src:t.name ~txn Vote_no;
-          };
-      ]
+    send t ~dst:src [ vote_msg t ~txn ~implied_ack:false Vote_no ]
   else begin
     let st = get_or_new_txn t txn in
     if st.phase = Ph_idle then begin
@@ -1474,29 +1434,10 @@ and handle_prepare t ~src ~txn ~long_locks =
          same transaction: two TMs would own the decision, so the
          transaction aborts (Section 3, PN design; the hazard behind the
          restricted leave-out rule of Figure 5). *)
-      trace t
-        (Trace.Note
-           {
-             time = now t;
-             node = t.name;
-             text =
-               Printf.sprintf
-                 "dual commit initiation detected (%s and %s): aborting"
-                 (match st.parent with Some p -> p | None -> t.name)
-                 src;
-           });
-      send t ~dst:src
-        [
-          Msg.Vote_msg
-            {
-            txn;
-            vote = Vote_no;
-            delegation = false;
-            unsolicited = false;
-            implied_ack = false;
-            tag = Msg.vote_tag ~src:t.name ~txn Vote_no;
-          };
-        ];
+      trace_notef t "dual commit initiation detected (%s and %s): aborting"
+        (match st.parent with Some p -> p | None -> t.name)
+        src;
+      send t ~dst:src [ vote_msg t ~txn ~implied_ack:false Vote_no ];
       if st.phase = Ph_voting then begin
         st.local_vote <- Some Vote_no;
         maybe_all_votes_in t st
@@ -1508,17 +1449,7 @@ and handle_prepare t ~src ~txn ~long_locks =
       match st.sent_vote with
       | Some vote ->
           send t ~dst:src
-            [
-              Msg.Vote_msg
-                {
-                  txn;
-                  vote;
-                  delegation = false;
-                  unsolicited = false;
-                  implied_ack = st.sent_vote_reliable;
-                  tag = Msg.vote_tag ~src:t.name ~txn vote;
-                };
-            ]
+            [ vote_msg t ~txn ~implied_ack:st.sent_vote_reliable vote ]
       | None -> ()
     end
   end
@@ -1659,8 +1590,7 @@ and resolve_heuristic t st ~action ~outcome =
     if st.sent_vote_reliable then
       (* Table 1's vote-reliable disadvantage: with the ack elided there is
          no channel to report the damage; it is lost *)
-      trace t
-        (Trace.Damage_detected { time = now t; node = t.name; reported_to = "" })
+      trace_damage t ~node:t.name ~reported_to:""
   end;
   tm_append t ~txn:st.txn
     (match outcome with
@@ -1678,9 +1608,10 @@ and delegator_decision t st outcome =
   cancel_timer t st.delegation_timer;
   st.delegation_timer <- None;
   st.outcome <- Some outcome;
-  trace t (Trace.Decide { time = now t; node = t.name; outcome });
-  causal_record t ~txn:st.txn (fun () ->
-      "adopts delegated outcome " ^ outcome_to_string outcome);
+  trace_decide t outcome;
+  causal_record t ~txn:st.txn
+    (fun o -> "adopts delegated outcome " ^ outcome_to_string o)
+    outcome;
   set_phase t st Ph_deciding;
   match t.proto.p_decision_log outcome with
   | Protocol_intf.Log_force kind ->
@@ -1720,9 +1651,7 @@ and handle_ack t ~src ~txn ~damage ~pending =
       List.iter
         (fun (d : Msg.damage_report) ->
           t.damage_seen <- (txn, d) :: t.damage_seen;
-          trace t
-            (Trace.Damage_detected
-               { time = now t; node = d.d_node; reported_to = t.name }))
+          trace_damage t ~node:d.d_node ~reported_to:t.name)
         damage
   | Some st -> (
       match List.find_opt (fun ch -> ch.ch_profile.p_name = src) st.children with
@@ -1731,15 +1660,8 @@ and handle_ack t ~src ~txn ~damage ~pending =
           if not ch.ch_acked then begin
             ch.ch_acked <- true;
             if ch.ch_pending && not pending then
-              trace t
-                (Trace.Note
-                   {
-                     time = now t;
-                     node = t.name;
-                     text =
-                       Printf.sprintf "background recovery with %s resolved"
-                         ch.ch_profile.p_name;
-                   });
+              trace_notef t "background recovery with %s resolved"
+                ch.ch_profile.p_name;
             if pending then st.pending <- true;
             (match damage with
             | [] -> ()
@@ -1752,9 +1674,7 @@ and handle_ack t ~src ~txn ~damage ~pending =
                 List.iter
                   (fun (d : Msg.damage_report) ->
                     t.damage_seen <- (txn, d) :: t.damage_seen;
-                    trace t
-                      (Trace.Damage_detected
-                         { time = now t; node = d.d_node; reported_to = t.name }))
+                    trace_damage t ~node:d.d_node ~reported_to:t.name)
                   reports);
             maybe_finished t st
           end)
@@ -1828,16 +1748,10 @@ and handle_inquiry_reply t ~txn outcome =
             ()
         | _ ->
             let o = match outcome with Some o -> o | None -> Aborted in
-            trace t
-              (Trace.Note
-                 {
-                   time = now t;
-                   node = t.name;
-                   text =
-                     (match outcome with
-                     | Some _ -> "recovery: outcome learned by inquiry"
-                     | None -> "recovery: no information - presuming abort");
-                 });
+            trace_note t
+              (match outcome with
+              | Some _ -> "recovery: outcome learned by inquiry"
+              | None -> "recovery: no information - presuming abort");
             subordinate_decision t st o
       end
 
@@ -1877,14 +1791,7 @@ and admissible t ~src payload =
 
 and handler t ~src payloads =
   if not t.crashed then begin
-    trace t
-      (Trace.Deliver
-         {
-           time = now t;
-           src;
-           dst = t.name;
-           label = Msg.bundle_label payloads;
-         });
+    trace_deliver t ~src payloads;
     (match (causal_sink t, payloads) with
     | Some c, p :: _ ->
         Obs.Causal.deliver c ~txn:(Msg.payload_txn p) ~src ~dst:t.name
@@ -1900,7 +1807,7 @@ and handler t ~src payloads =
             t.rejected <- t.rejected + 1;
             if String.length reason >= 5 && String.sub reason 0 5 = "cert:"
             then t.rejected_certs <- t.rejected_certs + 1;
-            trace t (Trace.Note { time = now t; node = t.name; text = reason }))
+            trace_note t reason)
       payloads
   end
 
@@ -1911,7 +1818,7 @@ and handler t ~src payloads =
 and restart t =
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Restart { time = now t; node = t.name });
+  trace_restart t;
   Net.restart_node t.net t.name;
   Kvstore.recover t.kv;
   (* Reconstruct protocol obligations from the durable log. *)
@@ -1947,17 +1854,8 @@ and restart t =
           in
           if not valid then begin
             t.rejected_certs <- t.rejected_certs + 1;
-            trace t
-              (Trace.Note
-                 {
-                   time = now t;
-                   node = t.name;
-                   text =
-                     Printf.sprintf
-                       "cert: recovery refuses invalid durable certificate \
-                        for %s"
-                       r.txn;
-                 })
+            trace_notef t
+              "cert: recovery refuses invalid durable certificate for %s" r.txn
           end)
       mine;
   Hashtbl.iter (fun txn kinds -> recover_txn t ~txn ~kinds) by_txn
@@ -1995,15 +1893,7 @@ and resume_propagation t ~txn outcome =
           ch_retries = 0;
         })
       t.child_profiles;
-  trace t
-    (Trace.Note
-       {
-         time = now t;
-         node = t.name;
-         text =
-           Printf.sprintf "recovery: re-driving %s of %s"
-             (outcome_to_string outcome) txn;
-       });
+  trace_notef t "recovery: re-driving %s of %s" (outcome_to_string outcome) txn;
   (* Local resource state was rebuilt by Kvstore.recover; if this node's RM
      is still in doubt it must be resolved with the known outcome. *)
   if List.mem txn (Kvstore.in_doubt t.kv) then
@@ -2057,9 +1947,7 @@ and resume_in_doubt t ~txn =
           ch_retries = 0;
         })
       t.child_profiles;
-  trace t
-    (Trace.Note
-       { time = now t; node = t.name; text = "recovery: in doubt after restart" });
+  trace_note t "recovery: in doubt after restart";
   (* Who can resolve our doubt?  A subordinate asks its parent.  A
      parentless node with a durable Prepared record delegated its decision
      before crashing: the outcome belongs to the last agent.  Presuming
@@ -2080,7 +1968,7 @@ and resume_in_doubt t ~txn =
    commit-pending coordinator aborts): decide it now and drive the
    subordinates (coordinator-initiated recovery). *)
 and resume_decide t ~txn ~outcome ~note =
-  trace t (Trace.Note { time = now t; node = t.name; text = note });
+  trace_note t note;
   let st = new_txn_state t txn in
   set_phase t st Ph_deciding;
   st.parent <- t.parent_name;
@@ -2112,7 +2000,7 @@ let force_restart t = restart t
 let force_restart_amnesia t =
   t.crashed <- false;
   t.epoch <- t.epoch + 1;
-  trace t (Trace.Restart { time = now t; node = t.name });
+  trace_restart t;
   Net.restart_node t.net t.name
 
 let unresolved_txns t =
@@ -2153,9 +2041,10 @@ let force_heuristic t ~txn action =
     | Some st when st.phase = Ph_in_doubt && st.heuristic_action = None ->
         st.heuristic_action <- Some action;
         st.heuristic_at <- Some (now t);
-        trace t (Trace.Heuristic { time = now t; node = t.name; action });
-        causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt (fun () ->
-            "HEURISTIC " ^ outcome_to_string action ^ " (injected)");
+        trace_heuristic t action;
+        causal_record t ~txn:st.txn ~seg:Obs.Causal.In_doubt
+          (fun a -> "HEURISTIC " ^ outcome_to_string a ^ " (injected)")
+          action;
         let kind =
           match action with
           | Committed -> Wal.Log_record.Heuristic_commit

@@ -84,6 +84,13 @@ val note_idle_child : t -> txn:string -> child:string -> unit
     other's declarations. *)
 
 val clear_idle_children : t -> txn:string -> unit
+(** Drop every mark {!note_idle_child} made for [txn]: the driver that
+    noted them calls this once the transaction is over. *)
+
+val idle_child_marks : t -> int
+(** Marks currently held, over all transactions: 0 once every marked
+    transaction has been cleared. *)
+
 val is_suspended : t -> child:string -> bool
 
 val flush_piggybacks : t -> unit

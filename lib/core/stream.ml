@@ -238,17 +238,10 @@ let rec ll_last_agent_pair ctx i r ~initiator_is_c k =
 let finish ctx ~r =
   Simkernel.Engine.run ctx.engine;
   let stats_c = Wal.Log.stats ctx.wal_c and stats_s = Wal.Log.stats ctx.wal_s in
-  let events = Trace.events ctx.trace in
-  let data_flows =
-    List.length
-      (List.filter
-         (function Trace.Send { protocol = false; _ } -> true | _ -> false)
-         events)
-  in
   {
     transactions = r;
     flows = Trace.flows ctx.trace;
-    data_flows;
+    data_flows = Trace.data_flows ctx.trace;
     writes = Trace.tm_writes ctx.trace;
     forced = Trace.tm_forced_writes ctx.trace;
     force_ios = stats_c.Wal.Log.force_ios + stats_s.Wal.Log.force_ios;

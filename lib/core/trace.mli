@@ -60,6 +60,19 @@ val record : t -> event -> unit
 
 val keeps_events : t -> bool
 
+(** {2 Counting without an event}
+
+    What {!record} does to the aggregate counters, without building the
+    event: a producer that checks {!keeps_events} first calls these on a
+    counter-only trace, so that a sink which is off costs it no record,
+    timestamp or label. *)
+
+val count_send : t -> protocol:bool -> unit
+(** Count one [Send] ([protocol = false]: an application-data message). *)
+
+val count_tm_write : t -> forced:bool -> unit
+(** Count one transaction-manager [Log_write] ([rm = false]). *)
+
 val events : t -> event list
 (** Oldest first; [[]] when the trace was created with
     [keep_events:false]. *)

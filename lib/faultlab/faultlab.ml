@@ -653,7 +653,7 @@ let audit (w : Tpc.Run.world) summaries =
   let abort_ev : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun wal ->
-      List.iter
+      Wal.Log.iter wal
         (fun (r : Wal.Log_record.t) ->
           match r.kind with
           | Wal.Log_record.Rm_committed | Wal.Log_record.Committed
@@ -666,8 +666,7 @@ let audit (w : Tpc.Run.world) summaries =
           | Wal.Log_record.Checkpoint | Wal.Log_record.Commit_pending
           | Wal.Log_record.Prepared | Wal.Log_record.End
           | Wal.Log_record.Agent | Wal.Log_record.Certificate ->
-              ())
-        (Wal.Log.all_records wal))
+              ()))
     (Tpc.Run.all_wals w);
   let divergence =
     Hashtbl.fold
@@ -787,15 +786,14 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   in
   List.iter
     (fun wal ->
-      List.iter
+      Wal.Log.iter wal
         (fun (r : Wal.Log_record.t) ->
           match r.kind with
           | Wal.Log_record.Heuristic_commit ->
               Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Committed
           | Wal.Log_record.Heuristic_abort ->
               Hashtbl.replace heur (r.node, r.txn) Tpc.Types.Aborted
-          | _ -> ())
-        (Wal.Log.all_records wal))
+          | _ -> ()))
     wals;
   (* pass 2: per-transaction "strong" (non-heuristic) evidence.  A TM
      outcome record is always honest knowledge (resolve_heuristic appends
@@ -811,7 +809,7 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
   in
   List.iter
     (fun wal ->
-      List.iter
+      Wal.Log.iter wal
         (fun (r : Wal.Log_record.t) ->
           match r.kind with
           | Wal.Log_record.Committed ->
@@ -830,8 +828,7 @@ let account (w : Tpc.Run.world) (summaries : Tpc.Mixer.txn_summary list) =
                 Hashtbl.find_opt heur (strip_rm r.node, r.txn)
                 <> Some Tpc.Types.Aborted
               then Hashtbl.replace abort_strong r.txn ()
-          | _ -> ())
-        (Wal.Log.all_records wal))
+          | _ -> ()))
     wals;
   (* which damage reports reached an operator console (the damaged member
      records its own detection; ack-borne copies land at coordinators) *)

@@ -37,9 +37,11 @@ let is_reliable t = t.reliable
 
 (* --- undo/redo payload encoding (length-prefixed, crash-safe) ------------ *)
 
-let encode_op = function
-  | Put (k, v) -> Printf.sprintf "P%d:%s%d:%s" (String.length k) k (String.length v) v
-  | Delete k -> Printf.sprintf "D%d:%s" (String.length k) k
+let encode_op op =
+  let field f = string_of_int (String.length f) ^ ":" ^ f in
+  match op with
+  | Put (k, v) -> String.concat "" [ "P"; field k; field v ]
+  | Delete k -> "D" ^ field k
 
 let decode_field s pos =
   let colon = String.index_from s pos ':' in
@@ -60,9 +62,9 @@ let decode_op s =
 (* --- transaction-time operations ----------------------------------------- *)
 
 let wset t txn =
-  match Hashtbl.find_opt t.wsets txn with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.wsets txn with
+  | r -> r
+  | exception Not_found ->
       let r = ref [] in
       Hashtbl.replace t.wsets txn r;
       r
@@ -149,7 +151,9 @@ let get_async t ~txn ~key ~granted =
       granted v)
 
 let is_updated t ~txn =
-  match Hashtbl.find_opt t.wsets txn with Some r -> !r <> [] | None -> false
+  match Hashtbl.find t.wsets txn with
+  | r -> !r <> []
+  | exception Not_found -> false
 
 (* --- commit protocol ------------------------------------------------------ *)
 
@@ -163,7 +167,8 @@ let apply_ops t ops =
 let finish t ~txn =
   Hashtbl.remove t.wsets txn;
   Hashtbl.remove t.lost_txns txn;
-  t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
+  if t.in_doubt_txns <> [] then
+    t.in_doubt_txns <- List.filter (fun x -> x <> txn) t.in_doubt_txns;
   Lockmgr.release_all t.lock_table ~txn
 
 let prepare t ~txn ~force k =
@@ -189,7 +194,9 @@ let prepare t ~txn ~force k =
   end
 
 let commit t ~txn ~force k =
-  let ops = match Hashtbl.find_opt t.wsets txn with Some r -> !r | None -> [] in
+  let ops =
+    match Hashtbl.find t.wsets txn with r -> !r | exception Not_found -> []
+  in
   apply_ops t ops;
   let record = Wal.Log_record.make ~txn ~node:t.rm_name Wal.Log_record.Rm_committed in
   let continue () =

@@ -35,35 +35,34 @@ let create engine =
   }
 
 let entry t key =
-  match Hashtbl.find_opt t.table key with
-  | Some e -> e
-  | None ->
+  match Hashtbl.find t.table key with
+  | e -> e
+  | exception Not_found ->
       let e = { grants = []; queue = [] } in
       Hashtbl.replace t.table key e;
       e
 
-let compatible mode grants ~txn =
-  List.for_all
-    (fun g ->
-      g.g_txn = txn
-      || match (mode, g.g_mode) with
-         | Shared, Shared -> true
-         | Shared, Exclusive | Exclusive, Shared | Exclusive, Exclusive -> false)
-    grants
+(* The scans below run on every acquire and release; they recurse rather
+   than hand [List] a closure over [txn], which would be allocated on
+   every call. *)
+let rec grant_of txn = function
+  | [] -> None
+  | g :: rest -> if String.equal g.g_txn txn then Some g else grant_of txn rest
+
+(* every grant is [txn]'s own, or [mode] and it are both shared *)
+let rec compatible mode txn = function
+  | [] -> true
+  | g :: rest ->
+      (String.equal g.g_txn txn || (mode = Shared && g.g_mode = Shared))
+      && compatible mode txn rest
 
 let note_key t ~txn ~key =
-  let keys =
-    match Hashtbl.find_opt t.txn_keys txn with
-    | Some l -> l
-    | None ->
-        let l = ref [] in
-        Hashtbl.replace t.txn_keys txn l;
-        l
-  in
-  if not (List.mem key !keys) then keys := key :: !keys
+  match Hashtbl.find t.txn_keys txn with
+  | keys -> if not (List.mem key !keys) then keys := key :: !keys
+  | exception Not_found -> Hashtbl.replace t.txn_keys txn (ref [ key ])
 
 let grant_now t e ~txn ~key mode =
-  (match List.find_opt (fun g -> g.g_txn = txn) e.grants with
+  (match grant_of txn e.grants with
   | Some g ->
       (* re-acquire / upgrade: keep the original grant timestamp *)
       if mode = Exclusive then g.g_mode <- Exclusive
@@ -75,18 +74,18 @@ let grant_now t e ~txn ~key mode =
   note_key t ~txn ~key
 
 let can_grant e ~txn mode =
-  match List.find_opt (fun g -> g.g_txn = txn) e.grants with
+  match grant_of txn e.grants with
   | Some g ->
       (* held already: same/weaker always ok; upgrade needs sole ownership *)
       (match (mode, g.g_mode) with
       | Shared, _ | Exclusive, Exclusive -> true
-      | Exclusive, Shared -> List.for_all (fun o -> o.g_txn = txn) e.grants)
-  | None -> compatible mode e.grants ~txn
+      | Exclusive, Shared -> compatible Exclusive txn e.grants)
+  | None -> compatible mode txn e.grants
 
 let try_acquire t ~txn ~key mode =
   let e = entry t key in
   (* respect FIFO fairness: a free-but-queued lock is not barged *)
-  if e.queue <> [] && not (List.exists (fun g -> g.g_txn = txn) e.grants) then false
+  if e.queue <> [] && Option.is_none (grant_of txn e.grants) then false
   else if can_grant e ~txn mode then begin
     grant_now t e ~txn ~key mode;
     true
@@ -118,35 +117,43 @@ let pump t key e =
   loop ()
 
 let release_all t ~txn =
-  match Hashtbl.find_opt t.txn_keys txn with
-  | None -> ()
-  | Some keys ->
+  match Hashtbl.find t.txn_keys txn with
+  | exception Not_found -> ()
+  | keys ->
       Hashtbl.remove t.txn_keys txn;
       let now = Simkernel.Engine.now t.engine in
       let acc =
-        match Hashtbl.find_opt t.txn_time txn with
-        | Some r -> r
-        | None ->
+        match Hashtbl.find t.txn_time txn with
+        | r -> r
+        | exception Not_found ->
             let r = ref 0.0 in
             Hashtbl.replace t.txn_time txn r;
             r
       in
-      let release_key key =
-        match Hashtbl.find_opt t.table key with
-        | None -> ()
-        | Some e ->
-            let mine, others = List.partition (fun g -> g.g_txn = txn) e.grants in
-            e.grants <- others;
-            let count_hold g =
-              let held = now -. g.g_since in
-              t.total_hold <- t.total_hold +. held;
-              acc := !acc +. held;
-              if held > t.max_hold then t.max_hold <- held
-            in
-            List.iter count_hold mine;
-            pump t key e
+      let count_hold g =
+        let held = now -. g.g_since in
+        t.total_hold <- t.total_hold +. held;
+        acc := !acc +. held;
+        if held > t.max_hold then t.max_hold <- held
       in
-      List.iter release_key !keys
+      List.iter
+        (fun key ->
+          match Hashtbl.find t.table key with
+          | exception Not_found -> ()
+          | e ->
+              (match e.grants with
+              | [ g ] when String.equal g.g_txn txn ->
+                  (* the sole holder: nothing to partition *)
+                  e.grants <- [];
+                  count_hold g
+              | grants ->
+                  let mine, others =
+                    List.partition (fun g -> String.equal g.g_txn txn) grants
+                  in
+                  e.grants <- others;
+                  List.iter count_hold mine);
+              pump t key e)
+        !keys
 
 let holding_txns t =
   Hashtbl.fold (fun txn _keys acc -> txn :: acc) t.txn_keys []
@@ -165,7 +172,7 @@ let holds t ~txn ~key =
   match Hashtbl.find_opt t.table key with
   | None -> None
   | Some e ->
-      Option.map (fun g -> g.g_mode) (List.find_opt (fun g -> g.g_txn = txn) e.grants)
+      Option.map (fun g -> g.g_mode) (grant_of txn e.grants)
 
 let holders t ~key =
   match Hashtbl.find_opt t.table key with

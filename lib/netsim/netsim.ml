@@ -10,6 +10,9 @@ struct
     mutable up : bool;
     mutable sent : int;
     mutable received : int;
+    mutable sent_to : int array;
+        (* messages sent to each node, by destination index: the per-link
+           sequence number [drop_nth] counts from *)
   }
 
   type t = {
@@ -21,7 +24,6 @@ struct
     latencies : (string * string, float) Hashtbl.t;
     directed_latencies : (string * string, float) Hashtbl.t;
     partitions : (string * string, unit) Hashtbl.t;
-    directed_sent : (string * string, int ref) Hashtbl.t;
     drops : (string * string, int list ref) Hashtbl.t;
     mutable jitter : (src:string -> dst:string -> float) option;
     mutable mutator : (src:string -> dst:string -> P.t list -> P.t list) option;
@@ -42,6 +44,7 @@ struct
       up = false;
       sent = 0;
       received = 0;
+      sent_to = [||];
     }
 
   (* Fired by the engine for every delivery: a0 = payload slot, a1 = dst
@@ -76,7 +79,6 @@ struct
         latencies = Hashtbl.create 16;
         directed_latencies = Hashtbl.create 4;
         partitions = Hashtbl.create 4;
-        directed_sent = Hashtbl.create 16;
         drops = Hashtbl.create 4;
         jitter = None;
         mutator = None;
@@ -110,9 +112,10 @@ struct
     s
 
   let node_index t name =
-    match Hashtbl.find_opt t.nodes name with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "netsim: unknown node %S" name)
+    match Hashtbl.find t.nodes name with
+    | i -> i
+    | exception Not_found ->
+        invalid_arg (Printf.sprintf "netsim: unknown node %S" name)
 
   let node_state t name = t.node_arr.(node_index t name)
 
@@ -124,7 +127,8 @@ struct
       Array.blit t.node_arr 0 bigger 0 t.n_nodes;
       t.node_arr <- bigger
     end;
-    t.node_arr.(t.n_nodes) <- { name; handler; up = true; sent = 0; received = 0 };
+    t.node_arr.(t.n_nodes) <-
+      { name; handler; up = true; sent = 0; received = 0; sent_to = [||] };
     Hashtbl.replace t.nodes name t.n_nodes;
     t.n_nodes <- t.n_nodes + 1
 
@@ -137,33 +141,57 @@ struct
   let set_latency_directed t ~src ~dst l =
     Hashtbl.replace t.directed_latencies (src, dst) l
 
+  (* The fault and topology tables are empty in a fault-free run: each
+     lookup is skipped then, so a flow builds no (src, dst) key. *)
   let latency t a b =
-    match Hashtbl.find_opt t.directed_latencies (a, b) with
+    let directed =
+      if Hashtbl.length t.directed_latencies = 0 then None
+      else Hashtbl.find_opt t.directed_latencies (a, b)
+    in
+    match directed with
     | Some l -> l
-    | None -> (
-        match Hashtbl.find_opt t.latencies (pair a b) with
-        | Some l -> l
-        | None -> t.default_latency)
+    | None when Hashtbl.length t.latencies = 0 -> t.default_latency
+    | None ->
+        Option.value (Hashtbl.find_opt t.latencies (pair a b))
+          ~default:t.default_latency
 
   let set_jitter t f = t.jitter <- f
   let set_mutator t f = t.mutator <- f
 
   let partition t a b = Hashtbl.replace t.partitions (pair a b) ()
   let heal t a b = Hashtbl.remove t.partitions (pair a b)
-  let partitioned t a b = Hashtbl.mem t.partitions (pair a b)
+  let partitioned t a b =
+    Hashtbl.length t.partitions > 0 && Hashtbl.mem t.partitions (pair a b)
 
-  let cell tbl key init =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r
-    | None ->
-        let r = ref init in
-        Hashtbl.replace tbl key r;
-        r
+  let sent_on s di = if di < Array.length s.sent_to then s.sent_to.(di) else 0
+
+  (* Count one more message on the link [s] -> [di] and return its sequence
+     number. *)
+  let bump_sent s di =
+    if di >= Array.length s.sent_to then begin
+      let bigger = Array.make (max 8 (2 * (di + 1))) 0 in
+      Array.blit s.sent_to 0 bigger 0 (Array.length s.sent_to);
+      s.sent_to <- bigger
+    end;
+    let seq = s.sent_to.(di) + 1 in
+    s.sent_to.(di) <- seq;
+    seq
 
   let drop_nth t ~src ~dst ~nth =
     if nth < 1 then invalid_arg "netsim: drop_nth expects nth >= 1";
-    let sent = !(cell t.directed_sent (src, dst) 0) in
-    let drops = cell t.drops (src, dst) [] in
+    let sent =
+      match (Hashtbl.find_opt t.nodes src, Hashtbl.find_opt t.nodes dst) with
+      | Some si, Some di -> sent_on t.node_arr.(si) di
+      | _ -> 0 (* no registered node sends on this link *)
+    in
+    let drops =
+      match Hashtbl.find_opt t.drops (src, dst) with
+      | Some r -> r
+      | None ->
+          let r = ref [] in
+          Hashtbl.replace t.drops (src, dst) r;
+          r
+    in
     drops := (sent + nth) :: !drops
 
   let crash_node t name = (node_state t name).up <- false
@@ -179,12 +207,13 @@ struct
       (* The message left the source: it is a flow whether or not it arrives. *)
       t.total_flows <- t.total_flows + 1;
       s.sent <- s.sent + 1;
-      let seq = cell t.directed_sent (src, dst) 0 in
-      incr seq;
+      let seq = bump_sent s di in
       let lost =
+        Hashtbl.length t.drops > 0
+        &&
         match Hashtbl.find_opt t.drops (src, dst) with
-        | Some drops when List.mem !seq !drops ->
-            drops := List.filter (fun n -> n <> !seq) !drops;
+        | Some drops when List.mem seq !drops ->
+            drops := List.filter (fun n -> n <> seq) !drops;
             true
         | _ -> false
       in

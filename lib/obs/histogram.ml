@@ -18,10 +18,13 @@ type t = {
   counts : (int, int) Hashtbl.t;  (** bucket index -> occupancy *)
   mutable low : int;  (** values <= low_cutoff (zeros, negatives) *)
   mutable count : int;
-  mutable sum : float;
-  mutable min : float;
-  mutable max : float;
+  m : moments;
 }
+
+(* An all-float record is stored flat, so updating it allocates nothing;
+   the same fields in [t], beside ints, would box a float on every
+   {!record}. *)
+and moments = { mutable sum : float; mutable min : float; mutable max : float }
 
 (* Below this magnitude a sample lands in the dedicated low bucket: commit
    latencies of exactly zero (same-instant phases) are common and must not
@@ -37,9 +40,7 @@ let create ?(buckets_per_decade = 30) () =
     counts = Hashtbl.create 64;
     low = 0;
     count = 0;
-    sum = 0.0;
-    min = infinity;
-    max = neg_infinity;
+    m = { sum = 0.0; min = infinity; max = neg_infinity };
   }
 
 let gamma t = exp t.log_gamma
@@ -53,21 +54,23 @@ let record t v =
   if Float.is_nan v then ()
   else begin
     t.count <- t.count + 1;
-    t.sum <- t.sum +. v;
-    if v < t.min then t.min <- v;
-    if v > t.max then t.max <- v;
+    t.m.sum <- t.m.sum +. v;
+    if v < t.m.min then t.m.min <- v;
+    if v > t.m.max then t.m.max <- v;
     if v <= low_cutoff then t.low <- t.low + 1
     else
       let i = bucket_index t v in
       Hashtbl.replace t.counts i
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts i))
+        (match Hashtbl.find t.counts i with
+        | n -> n + 1
+        | exception Not_found -> 1)
   end
 
 let count t = t.count
-let sum t = t.sum
-let mean t = if t.count = 0 then nan else t.sum /. float_of_int t.count
-let min_value t = if t.count = 0 then nan else t.min
-let max_value t = if t.count = 0 then nan else t.max
+let sum t = t.m.sum
+let mean t = if t.count = 0 then nan else t.m.sum /. float_of_int t.count
+let min_value t = if t.count = 0 then nan else t.m.min
+let max_value t = if t.count = 0 then nan else t.m.max
 
 let bucket_count t = Hashtbl.length t.counts + if t.low > 0 then 1 else 0
 
@@ -83,10 +86,10 @@ let quantile t p =
       let r = int_of_float (ceil (p /. 100.0 *. float_of_int t.count)) in
       Stdlib.min t.count (Stdlib.max 1 r)
     in
-    if rank <= t.low then (if t.min < 0.0 then t.min else 0.0)
+    if rank <= t.low then (if t.m.min < 0.0 then t.m.min else 0.0)
     else begin
       let seen = ref t.low in
-      let result = ref t.max in
+      let result = ref t.m.max in
       (try
          List.iter
            (fun (i, n) ->
@@ -99,7 +102,7 @@ let quantile t p =
        with Exit -> ());
       (* clamp to the observed range: the top bucket's midpoint can
          overshoot the true maximum *)
-      Float.min (Float.max !result t.min) t.max
+      Float.min (Float.max !result t.m.min) t.m.max
     end
   end
 
@@ -113,17 +116,17 @@ let merge ~into src =
     src.counts;
   into.low <- into.low + src.low;
   into.count <- into.count + src.count;
-  into.sum <- into.sum +. src.sum;
-  if src.min < into.min then into.min <- src.min;
-  if src.max > into.max then into.max <- src.max
+  into.m.sum <- into.m.sum +. src.m.sum;
+  if src.m.min < into.m.min then into.m.min <- src.m.min;
+  if src.m.max > into.m.max then into.m.max <- src.m.max
 
 let clear t =
   Hashtbl.reset t.counts;
   t.low <- 0;
   t.count <- 0;
-  t.sum <- 0.0;
-  t.min <- infinity;
-  t.max <- neg_infinity
+  t.m.sum <- 0.0;
+  t.m.min <- infinity;
+  t.m.max <- neg_infinity
 
 (** Fixed summary used by the sweep's JSON stanzas. *)
 type summary = {

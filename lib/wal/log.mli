@@ -66,6 +66,10 @@ val durable : t -> Log_record.t list
 val all_records : t -> Log_record.t list
 (** Durable plus still-volatile records, oldest first. *)
 
+val iter : t -> (Log_record.t -> unit) -> unit
+(** [iter t f] applies [f] to the records {!all_records} lists, in the
+    same order, without building the list. *)
+
 val stats : t -> stats
 val reset_stats : t -> unit
 

@@ -11,6 +11,7 @@ let () =
       ("kvstore", Test_kvstore.suite);
       ("cost-model", Test_cost_model.suite);
       ("trace", Test_trace.suite);
+      ("trace-modes", Test_trace_modes.suite);
       ("protocol", Test_protocol.suite);
       ("conformance", Test_conformance.suite);
       ("optimizations", Test_optimizations.suite);
@@ -32,4 +33,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("parallel", Test_parallel.suite);
       ("driver", Test_driver.suite);
+      ("alloc", Test_alloc.suite);
     ]

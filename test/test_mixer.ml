@@ -121,6 +121,23 @@ let test_long_locks_piggyback_on_arrivals () =
     (agg.Agg.commit_latency_p50 < 500.0);
   ignore w
 
+(* -- bounded bookkeeping --------------------------------------------- *)
+
+let test_idle_marks_cleared_at_every_parent () =
+  (* on a chain every member but the last is a parent the driver marks
+     idle children at; once the run is quiet none may still hold a mark *)
+  let cfg = { M.default_cfg with M.txns = 100; concurrency = 4; seed = 1 } in
+  let agg, w = M.run cfg (Workload.chain ~n:4 ()) in
+  Alcotest.(check int) "all resolved" cfg.M.txns
+    (agg.Agg.committed + agg.Agg.aborted);
+  List.iter
+    (fun (name, n) ->
+      Alcotest.(check int)
+        (name ^ " holds no idle-child marks")
+        0
+        (Tpc.Participant.idle_child_marks n.Tpc.Run.participant))
+    w.Tpc.Run.nodes
+
 (* -- JSON round-trip ------------------------------------------------ *)
 
 let test_agg_json_round_trips () =
@@ -161,6 +178,8 @@ let suite =
       test_group_commit_amortizes_across_concurrency;
     Alcotest.test_case "long-locks acks ride real arrivals" `Quick
       test_long_locks_piggyback_on_arrivals;
+    Alcotest.test_case "idle-child marks cleared at every parent" `Quick
+      test_idle_marks_cleared_at_every_parent;
     Alcotest.test_case "aggregate JSON round-trips" `Quick
       test_agg_json_round_trips;
   ]

@@ -168,6 +168,27 @@ let test_reset_stats () =
   Alcotest.(check int) "flows reset" 0 (N.flows net);
   Alcotest.(check int) "per-node reset" 0 (N.sent_by net "a")
 
+let test_drop_nth_counts_per_link () =
+  (* nth counts from the call, on one direction of one link: earlier sends
+     on the link and sends in the other direction do not shift it *)
+  let e, net = mk () in
+  let box_b = inbox () and box_a = inbox () in
+  listen net "a" box_a;
+  listen net "b" box_b;
+  ignore (N.send net ~src:"a" ~dst:"b" [ "1" ]);
+  N.drop_nth net ~src:"a" ~dst:"b" ~nth:2;
+  N.drop_nth net ~src:"ghost" ~dst:"b" ~nth:1;
+  ignore (N.send net ~src:"b" ~dst:"a" [ "back" ]);
+  List.iter
+    (fun m -> ignore (N.send net ~src:"a" ~dst:"b" [ m ]))
+    [ "2"; "3"; "4" ];
+  E.run e;
+  Alcotest.(check (list string)) "only the second send after the call is lost"
+    [ "1"; "2"; "4" ]
+    (List.rev_map (fun (_, p) -> String.concat "" p) !box_b);
+  Alcotest.(check int) "other direction untouched" 1 (List.length !box_a);
+  Alcotest.(check int) "a lost message is still a flow" 5 (N.flows net)
+
 let suite =
   [
     Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
@@ -188,4 +209,6 @@ let suite =
     Alcotest.test_case "duplicate node rejected" `Quick test_duplicate_node_rejected;
     Alcotest.test_case "unknown node rejected" `Quick test_unknown_node_rejected;
     Alcotest.test_case "reset stats" `Quick test_reset_stats;
+    Alcotest.test_case "drop_nth counts per link" `Quick
+      test_drop_nth_counts_per_link;
   ]
