@@ -138,25 +138,20 @@ let table4 ?(r = 12) () =
   let model = C.table4 ~r in
   Format.printf "%-36s %-26s %-26s %-14s %-10s %s@." "2PC type"
     "simulated (f,w,fw)" "paper (f,w,fw)" "lock-time/txn" "txn/100t" "";
-  let row label mode model_label =
-    let res = Tpc.Stream.run_chain mode ~r in
-    let m = List.assoc model_label model in
-    let sim =
-      { C.flows = res.Tpc.Stream.flows; writes = res.Tpc.Stream.writes;
-        forced = res.Tpc.Stream.forced }
-    in
+  let row label mode =
+    let res = Workload.run_chain mode ~r in
+    let m = List.assoc label model in
+    let sim = Tpc.Metrics.counts res.Tpc.Run.totals in
     Format.printf "%-36s %-26s %-26s %-14.1f %-10.1f %s@." label
       (Format.asprintf "%a" C.pp_counts sim)
       (Format.asprintf "%a" C.pp_counts m)
-      res.Tpc.Stream.mean_coordinator_lock_time
-      (100.0 *. float_of_int r /. res.Tpc.Stream.duration)
+      (Tpc.Run.mean_latency res)
+      (100.0 *. float_of_int r /. res.Tpc.Run.duration)
       (check_mark (sim = m))
   in
-  row "Basic 2PC" Tpc.Stream.Chain_basic "Basic 2PC";
-  row "PA & Long Locks (not last agent)" Tpc.Stream.Chain_long_locks
-    "PA & Long Locks (not last agent)";
-  row "PA & Long Locks (last agent)" Tpc.Stream.Chain_long_locks_last_agent
-    "PA & Long Locks (last agent)"
+  row "Basic 2PC" Workload.Chain_basic;
+  row "PA & Long Locks (not last agent)" Workload.Chain_long_locks;
+  row "PA & Long Locks (last agent)" Workload.Chain_long_locks_last_agent
 
 (* ------------------------------------------------------------------ *)
 (* Figures 1-8                                                         *)
@@ -181,11 +176,13 @@ let group_commit ?(n = 96) () =
     "force I/Os" "saved I/Os" "paper 3n/2m" "mean commit latency";
   List.iter
     (fun m ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
-      Format.printf "%-10d %-14d %-12d %-12d %-18.1f %.2f@." m
-        r.Tpc.Stream.gc_force_requests r.Tpc.Stream.gc_force_ios
-        r.Tpc.Stream.gc_saved_ios r.Tpc.Stream.gc_paper_saving
-        r.Tpc.Stream.gc_mean_commit_latency)
+      let res = Workload.run_group_commit ~n ~group_size:m () in
+      let t = res.Tpc.Run.totals in
+      let requests = t.Tpc.Metrics.tm_forced and ios = t.Tpc.Metrics.force_ios in
+      Format.printf "%-10d %-14d %-12d %-12d %-18.1f %.2f@." m requests ios
+        (requests - ios)
+        (C.group_commit_saving ~n ~m:(max 1 m))
+        (Tpc.Run.mean_latency res))
     [ 1; 2; 4; 8; 16; 32 ];
   Format.printf
     "@.Shape check: saved I/Os grow with the group size while individual \
@@ -429,12 +426,12 @@ let bechamel_suite () =
                ignore (Workload.run_table3 C.Read_only_opt ~n:11 ~m:4)));
         Test.make ~name:"table4-chain-r12"
           (Staged.stage (fun () ->
-               ignore (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks ~r:12)));
+               ignore (Workload.run_chain Workload.Chain_long_locks ~r:12)));
         Test.make ~name:"figure3-pn-trace"
           (Staged.stage (fun () -> ignore (Tpc.Scenarios.figure3 ())));
         Test.make ~name:"group-commit-n96"
           (Staged.stage (fun () ->
-               ignore (Tpc.Stream.run_group_commit ~n:96 ~group_size:8 ())));
+               ignore (Workload.run_group_commit ~n:96 ~group_size:8 ())));
         Test.make ~name:"commit-11-members"
           (Staged.stage (fun () ->
                ignore (Tpc.Run.commit_tree (Workload.flat ~n:11 ()))));

@@ -284,25 +284,27 @@ let figures_term =
 (* --- chain --------------------------------------------------------------- *)
 
 let chain_cmd mode r latency =
-  let mode =
-    match mode with
-    | "basic" -> Tpc.Stream.Chain_basic
-    | "long-locks" -> Tpc.Stream.Chain_long_locks
-    | _ -> Tpc.Stream.Chain_long_locks_last_agent
-  in
-  let res = Tpc.Stream.run_chain ~latency mode ~r in
+  let res = Workload.run_chain ~latency mode ~r in
+  let m = res.Tpc.Run.totals in
   Format.printf
     "%s: r=%d  flows=%d (+%d data)  writes=%d  forced=%d  duration=%.1f  \
      lock-time/txn=%.1f@."
-    (Tpc.Stream.mode_to_string mode)
-    r res.Tpc.Stream.flows res.Tpc.Stream.data_flows res.Tpc.Stream.writes
-    res.Tpc.Stream.forced res.Tpc.Stream.duration
-    res.Tpc.Stream.mean_coordinator_lock_time
+    (Workload.chain_mode_to_string mode)
+    r m.Tpc.Metrics.flows m.Tpc.Metrics.data_flows m.Tpc.Metrics.tm_writes
+    m.Tpc.Metrics.tm_forced res.Tpc.Run.duration (Tpc.Run.mean_latency res)
 
 let chain_term =
   let mode =
     Arg.(
-      value & opt string "long-locks"
+      value
+      & opt
+          (enum
+             [
+               ("basic", Workload.Chain_basic);
+               ("long-locks", Workload.Chain_long_locks);
+               ("long-locks-last-agent", Workload.Chain_long_locks_last_agent);
+             ])
+          Workload.Chain_long_locks
       & info [ "mode" ] ~doc:"basic, long-locks or long-locks-last-agent.")
   in
   let r = Arg.(value & opt int 12 & info [ "r" ] ~doc:"Transactions.") in
@@ -315,10 +317,11 @@ let group_cmd n sizes =
     "saved" "paper 3n/2m";
   List.iter
     (fun m ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
-      Format.printf "%-8d %-12d %-12d %-10d %-14.1f@." m
-        r.Tpc.Stream.gc_force_requests r.Tpc.Stream.gc_force_ios
-        r.Tpc.Stream.gc_saved_ios r.Tpc.Stream.gc_paper_saving)
+      let t = (Workload.run_group_commit ~n ~group_size:m ()).Tpc.Run.totals in
+      let requests = t.Tpc.Metrics.tm_forced and ios = t.Tpc.Metrics.force_ios in
+      Format.printf "%-8d %-12d %-12d %-10d %-14.1f@." m requests ios
+        (requests - ios)
+        (Tpc.Cost_model.group_commit_saving ~n ~m:(max 1 m)))
     sizes
 
 let group_term =

@@ -20,8 +20,8 @@ type t = {
 
 let of_run ~trace ~wals ~root ~outcome ~pending ~quiesce_time =
   let events = Trace.events trace in
-  (* the engine may drain harmless no-op retry timers long after the last
-     real action: report the last traced event instead *)
+  (* timers a crashed node armed still fire, as epoch-guarded no-ops, long
+     after the last real action: report the last traced event instead *)
   let quiesce_time =
     List.fold_left
       (fun acc e -> max acc (Trace.event_time e))

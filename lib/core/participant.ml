@@ -37,6 +37,8 @@ type child = {
   mutable ch_last_agent : bool;
   mutable ch_pending : bool;  (* wait-for-outcome: resolution in background *)
   mutable ch_retries : int;
+  mutable ch_retry_timer : Simkernel.Engine.event option;
+      (* the pending decision retransmission; cancelled by the ack *)
 }
 
 type txn_state = {
@@ -645,6 +647,7 @@ and participating_children t ~txn =
             ch_last_agent = false;
             ch_pending = false;
             ch_retries = 0;
+            ch_retry_timer = None;
           })
     t.child_profiles
 
@@ -1116,7 +1119,10 @@ and propagate_decision t st outcome =
   end
 
 and start_ack_retry t st ch =
-  sched_ t ~delay:(retry_delay t ch.ch_retries) (fun () -> retry_child t st ch)
+  ch.ch_retry_timer <-
+    Some
+      (sched t ~delay:(retry_delay t ch.ch_retries) (fun () ->
+           retry_child t st ch))
 
 and retry_child t st ch =
   if (not ch.ch_acked) && st.phase = Ph_propagating then begin
@@ -1251,9 +1257,10 @@ and fire_deferred t d =
 
 and defer_ack_long_locks t st =
   (* Long locks: hold the acknowledgment and piggyback it on the data
-     message that begins the next transaction (Figure 7).  In a
-     single-transaction run that data message is simulated after a think
-     time; in chained runs Stream provides the real one. *)
+     message that begins the next transaction (Figure 7).  That message
+     leaves after [implied_ack_delay] of think time unless a concurrent
+     driver's next transaction flushes it sooner; {!Run.commit_stream}'s
+     chained runs start the next transaction when it arrives. *)
   if not st.acked_up then begin
     st.acked_up <- true;
     trace_note t "long locks: ack deferred to next-transaction data";
@@ -1483,6 +1490,7 @@ and handle_vote t ~src ~txn vote ~delegation ~unsolicited ~implied_ack =
                 ch_last_agent = false;
                 ch_pending = false;
                 ch_retries = 0;
+                ch_retry_timer = None;
               }
               :: st.children
         | None -> () (* vote from a stranger: drop *)));
@@ -1659,6 +1667,8 @@ and handle_ack t ~src ~txn ~damage ~pending =
       | Some ch ->
           if not ch.ch_acked then begin
             ch.ch_acked <- true;
+            cancel_timer t ch.ch_retry_timer;
+            ch.ch_retry_timer <- None;
             if ch.ch_pending && not pending then
               trace_notef t "background recovery with %s resolved"
                 ch.ch_profile.p_name;
@@ -1891,6 +1901,7 @@ and resume_propagation t ~txn outcome =
           ch_last_agent = false;
           ch_pending = false;
           ch_retries = 0;
+          ch_retry_timer = None;
         })
       t.child_profiles;
   trace_notef t "recovery: re-driving %s of %s" (outcome_to_string outcome) txn;
@@ -1945,6 +1956,7 @@ and resume_in_doubt t ~txn =
           ch_last_agent = false;
           ch_pending = false;
           ch_retries = 0;
+          ch_retry_timer = None;
         })
       t.child_profiles;
   trace_note t "recovery: in doubt after restart";
@@ -1984,6 +1996,7 @@ and resume_decide t ~txn ~outcome ~note =
           ch_last_agent = false;
           ch_pending = false;
           ch_retries = 0;
+          ch_retry_timer = None;
         })
       t.child_profiles;
   decide t st outcome

@@ -4,6 +4,17 @@
 
 open Types
 
+(* Declared before [world] so that an unannotated [w.trace] still means
+   the world's trace. *)
+type arrival = Chained | Staggered of float
+
+type stream = {
+  totals : Metrics.t;
+  duration : float;
+  latencies : float list;
+  trace : Trace.t;
+}
+
 type node = {
   participant : Participant.t;
   wal : Wal.Log.t;
@@ -98,48 +109,82 @@ let setup ?(config = default_config) ?scratch tree =
       w.pending <- pending);
   w
 
+(** What one member does during one transaction. *)
+type work = Work_update | Work_read | Work_none
+
+(* The work a member's declared profile gives it. *)
+let profile_work w p =
+  if p.p_left_out && w.cfg.opts.leave_out then Work_none
+  else if p.p_updated then Work_update
+  else Work_read
+
+let acct name = "acct-" ^ name
+
+let do_work w ~txn ~key name = function
+  | Work_update ->
+      ignore
+        (Kvstore.put (kv w name) ~txn ~key:(key name) ~value:("upd-by-" ^ txn))
+  | Work_read -> ignore (Kvstore.get (kv w name) ~txn (key name))
+  | Work_none -> ()
+
 (** Give every member work to do under its declared profile: updated
     members write one record (exclusive lock held until the 2PC releases
     it), read-only members read one (shared lock), left-out members stay
     suspended and touch nothing. *)
 let perform_work w ~txn =
   List.iter
-    (fun (name, n) ->
-      if n.profile.p_left_out && w.cfg.opts.leave_out then ()
-      else if n.profile.p_updated then
-        ignore
-          (Kvstore.put n.kv ~txn ~key:("acct-" ^ name)
-             ~value:("upd-by-" ^ txn))
-      else ignore (Kvstore.get n.kv ~txn ("acct-" ^ name)))
+    (fun (name, n) -> do_work w ~txn ~key:acct name (profile_work w n.profile))
     w.nodes
 
-(** Run one distributed commit to quiescence. *)
-let commit ?(txn = "txn-1") w =
-  perform_work w ~txn;
-  (* unsolicited voters prepare themselves spontaneously *)
+(* Start one transaction without running the engine: every member performs
+   its [work] on [key], each parent learns which child subtrees exchanged
+   no data with it (the dynamic OK-TO-LEAVE-OUT input), unsolicited voters
+   that worked prepare themselves, and the root begins commit processing. *)
+let start_txn w ~txn ~key ~work =
+  List.iter
+    (fun (name, n) -> do_work w ~txn ~key name (work n.profile))
+    w.nodes;
+  let rec subtree_idle (Tree (p, children)) =
+    work p = Work_none && List.for_all subtree_idle children
+  in
+  let rec mark (Tree (p, children)) =
+    let parent = participant w p.p_name in
+    Participant.clear_idle_children parent ~txn;
+    List.iter
+      (fun (Tree (cp, _) as child) ->
+        if subtree_idle child then
+          Participant.note_idle_child parent ~txn ~child:cp.p_name;
+        mark child)
+      children
+  in
+  mark w.tree;
   List.iter
     (fun (_, n) ->
       if
         n.profile.p_unsolicited && w.cfg.opts.unsolicited_vote
-        && not (n.profile.p_left_out && w.cfg.opts.leave_out)
+        && work n.profile <> Work_none
       then
         ignore
           (Simkernel.Engine.schedule w.engine ~delay:0.0 (fun () ->
                Participant.begin_unsolicited n.participant ~txn)))
     w.nodes;
-  Participant.begin_commit (participant w w.root) ~txn;
-  Simkernel.Engine.run w.engine;
+  Participant.begin_commit (participant w w.root) ~txn
+
+let metrics w =
   Metrics.of_run ~trace:w.trace ~wals:(all_wals w) ~root:w.root
     ~outcome:w.outcome ~pending:w.pending
     ~quiesce_time:(Simkernel.Engine.now w.engine)
+
+(** Run one distributed commit to quiescence. *)
+let commit ?(txn = "txn-1") w =
+  start_txn w ~txn ~key:acct ~work:(profile_work w);
+  Simkernel.Engine.run w.engine;
+  metrics w
 
 (** Convenience: set up and commit in one step. *)
 let commit_tree ?config ?txn tree =
   let w = setup ?config tree in
   (commit ?txn w, w)
-
-(** What one member does during one transaction of a sequence. *)
-type work = Work_update | Work_read | Work_none
 
 (** Run several transactions through the same complex, with a per-member,
     per-transaction work assignment.  This is where the dynamic
@@ -157,52 +202,67 @@ let commit_sequence ?config ~work ~txns tree =
     List.iter Wal.Log.reset_stats (all_wals w);
     w.outcome <- None;
     w.pending <- false;
-    (* perform the assigned work *)
-    let rec assign (Tree (p, children)) =
-      (match work ~txn ~node:p.p_name with
-      | Work_update ->
-          ignore
-            (Kvstore.put (kv w p.p_name) ~txn ~key:("acct-" ^ p.p_name)
-               ~value:("upd-by-" ^ txn))
-      | Work_read -> ignore (Kvstore.get (kv w p.p_name) ~txn ("acct-" ^ p.p_name))
-      | Work_none -> ());
-      List.iter assign children
-    in
-    assign w.tree;
-    (* tell each parent which child subtrees exchanged no data with it *)
-    let rec subtree_idle (Tree (p, children)) =
-      work ~txn ~node:p.p_name = Work_none && List.for_all subtree_idle children
-    in
-    let rec mark (Tree (p, children)) =
-      let parent = participant w p.p_name in
-      Participant.clear_idle_children parent ~txn;
-      List.iter
-        (fun (Tree (cp, _) as child) ->
-          if subtree_idle child then
-            Participant.note_idle_child parent ~txn ~child:cp.p_name;
-          mark child)
-        children
-    in
-    mark w.tree;
-    (* unsolicited voters that actually worked prepare themselves *)
-    List.iter
-      (fun (name, n) ->
-        if
-          n.profile.p_unsolicited && w.cfg.opts.unsolicited_vote
-          && work ~txn ~node:name <> Work_none
-        then
-          ignore
-            (Simkernel.Engine.schedule w.engine ~delay:0.0 (fun () ->
-                 Participant.begin_unsolicited n.participant ~txn)))
-      w.nodes;
-    Participant.begin_commit (participant w w.root) ~txn;
+    start_txn w ~txn ~key:acct ~work:(fun p -> work ~txn ~node:p.p_name);
     Simkernel.Engine.run w.engine;
-    ( txn,
-      Metrics.of_run ~trace:w.trace ~wals:(all_wals w) ~root:w.root
-        ~outcome:w.outcome ~pending:w.pending
-        ~quiesce_time:(Simkernel.Engine.now w.engine) )
+    (txn, metrics w)
   in
   (List.map run_one txns, w)
+
+(** Run [txns] transactions through one complex, started as [arrival]
+    says.  Each transaction updates its own keys, so staggered
+    transactions overlap without lock conflicts; the counts are the shared
+    trace's and logs' totals over the whole stream. *)
+let commit_stream ?config arrival ~txns tree =
+  let w = setup ?config tree in
+  let started = Array.make txns 0.0 and finished = Array.make txns nan in
+  let index = Hashtbl.create txns in
+  let now () = Simkernel.Engine.now w.engine in
+  let start i =
+    let txn = "txn-" ^ string_of_int (i + 1) in
+    Hashtbl.replace index txn i;
+    started.(i) <- now ();
+    start_txn w ~txn
+      ~key:(fun name -> acct name ^ "/" ^ txn)
+      ~work:(profile_work w)
+  in
+  let at delay i =
+    ignore (Simkernel.Engine.schedule w.engine ~delay (fun () -> start i))
+  in
+  Participant.set_on_root_complete (participant w w.root)
+    (fun ~txn outcome ~pending ->
+      w.outcome <- Some outcome;
+      w.pending <- pending;
+      let i = Hashtbl.find index txn in
+      finished.(i) <- now ();
+      if arrival = Chained && i + 1 < txns then at 0.0 (i + 1));
+  (match arrival with
+  | Chained -> if txns > 0 then at 0.0 0
+  | Staggered gap ->
+      for i = 0 to txns - 1 do
+        at (float_of_int i *. gap) i
+      done);
+  Simkernel.Engine.run w.engine;
+  let latencies =
+    List.filter_map
+      (fun i ->
+        if Float.is_nan finished.(i) then None
+        else Some (finished.(i) -. started.(i)))
+      (List.init txns Fun.id)
+  in
+  {
+    totals = metrics w;
+    duration =
+      Array.fold_left
+        (fun acc t -> if Float.is_nan t then acc else max acc t)
+        0.0 finished;
+    latencies;
+    trace = w.trace;
+  }
+
+let mean_latency s =
+  match s.latencies with
+  | [] -> 0.0
+  | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
 (** All committed key/value state across live members: used by tests to
     check atomicity (every member agrees on the outcome's effects). *)

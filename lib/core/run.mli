@@ -2,6 +2,26 @@
     commit tree, give every member work, run two-phase commits to
     quiescence and summarize the results. *)
 
+(** How {!commit_stream} starts its transactions. *)
+type arrival =
+  | Chained
+      (** each transaction starts as soon as the root reports the previous
+          one's outcome: Table 4's transactions "with small delays between
+          them" *)
+  | Staggered of float
+      (** transaction [i] (from 0) starts at [i *. gap], whatever the others
+          are doing: the concurrent load group commit batches *)
+
+(** What a stream of transactions cost. *)
+type stream = {
+  totals : Metrics.t;  (** flows, writes and force I/Os over the whole stream *)
+  duration : float;  (** when the root reported the last outcome *)
+  latencies : float list;
+      (** each completed transaction's time from start to outcome, in start
+          order: how long the initiator's resources stayed locked *)
+  trace : Trace.t;
+}
+
 (** One member's runtime pieces. *)
 type node = {
   participant : Participant.t;
@@ -51,6 +71,9 @@ val kv : world -> string -> Kvstore.t
 val root_node : world -> node
 val all_wals : world -> Wal.Log.t list
 
+(** What one member does during one transaction. *)
+type work = Work_update | Work_read | Work_none
+
 val perform_work : world -> txn:string -> unit
 (** Default workload: every updated member writes one record (holding an
     exclusive lock until the commit releases it); read-only members read
@@ -65,9 +88,6 @@ val commit_tree :
   ?config:Types.config -> ?txn:string -> Types.tree -> Metrics.t * world
 (** [setup] + [commit] in one step. *)
 
-(** What one member does during one transaction of a sequence. *)
-type work = Work_update | Work_read | Work_none
-
 val commit_sequence :
   ?config:Types.config ->
   work:(txn:string -> node:string -> work) ->
@@ -81,6 +101,16 @@ val commit_sequence :
     subtree nothing to do in a later transaction, its parent leaves it out
     of that commit.  The shared trace is cleared between transactions, so
     each returned {!Metrics.t} covers exactly one commit. *)
+
+val commit_stream :
+  ?config:Types.config -> arrival -> txns:int -> Types.tree -> stream
+(** Run [txns] transactions through one complex built by {!setup}.  Every
+    member works as its profile says (see {!perform_work}), each
+    transaction on its own keys so that overlapping transactions do not
+    conflict. *)
+
+val mean_latency : stream -> float
+(** Mean of [latencies]; 0 when nothing completed. *)
 
 val committed_states : world -> (string * (string * string) list) list
 (** Committed key/value bindings per member (sorted), for atomicity

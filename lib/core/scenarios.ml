@@ -136,7 +136,13 @@ let figure6 () =
     buffers the commit acknowledgment into the message beginning the next
     transaction. *)
 let figure7 () =
-  let res = Stream.run_chain Stream.Chain_long_locks ~r:2 in
+  let config =
+    default_config |> with_opts [ `Long_locks ] |> with_implied_ack_delay 1.0
+  in
+  let res =
+    Run.commit_stream ~config Run.Chained ~txns:2
+      (Tree (member "C", [ Tree (member ~long_locks:true "S", []) ]))
+  in
   {
     sc_id = "figure-7";
     sc_title = "Example of Long Locks committing one transaction";
@@ -146,7 +152,7 @@ let figure7 () =
        transaction, reducing protocol flows from 4 to 3 per transaction at \
        the cost of the coordinator's resources staying locked longer.";
     sc_nodes = [ "C"; "S" ];
-    sc_trace = res.Stream.trace;
+    sc_trace = res.Run.trace;
     sc_metrics = None;
   }
 

@@ -1,46 +1,19 @@
-(** Chained-transaction streams: the workloads behind Table 4 (long locks),
-    Figure 7, and the group-commit analysis of Section 4.
+(** The long-locks + last-agent pairing of Table 4's third row and of the
+    Figure 7 discussion: [r] chained transactions between two members,
+    committed two at a time in three flows.
 
-    Table 4 analyses [r] transactions "with small delays between them"
-    between two members.  The interesting quantity is how acknowledgment
-    piggybacking amortizes flows across consecutive transactions, so this
-    module drives the flow/log schedule directly (two write-ahead logs, a
-    latency-delayed message step, and the trace used for counting) rather
-    than through {!Participant}, whose single-transaction machinery cannot
-    express cross-transaction piggybacks.
+    Table 4's other rows run through {!Participant} (see
+    {!Run.commit_stream}).  This one cannot: within each pair the two peers
+    swap the coordinator and last-agent roles, and {!Participant} classifies
+    every sender as parent, child or stranger by the static commit tree
+    before it admits a message - a per-transaction role swap would loosen
+    that safety check.  So this module drives the flow and log schedule
+    directly over two write-ahead logs, a latency-delayed message step and
+    the trace used for counting.
 
-    Three chain modes:
-
-    - {e basic}: every transaction pays the full Prepare / Vote / Commit /
-      Ack cycle: [4r] flows.
-    - {e long locks}: the subordinate withholds its acknowledgment and sends
-      it with the data message that begins the next transaction: [3r]
-      protocol flows (plus [r] data flows that would be sent anyway).
-    - {e long locks + last agent} (Figure 7): transactions run in pairs with
-      the peer roles alternating; each pair costs three flows
-      (Vote(t1); Commit(t1)+Vote(t2); Commit(t2)+ack(t1), with the dangling
-      acknowledgments riding the next pair's opener): [3r/2] flows. *)
-
-type mode = Chain_basic | Chain_long_locks | Chain_long_locks_last_agent
-
-let mode_to_string = function
-  | Chain_basic -> "basic"
-  | Chain_long_locks -> "long-locks"
-  | Chain_long_locks_last_agent -> "long-locks+last-agent"
-
-type result = {
-  transactions : int;
-  flows : int;        (** protocol flows *)
-  data_flows : int;
-  writes : int;       (** TM log writes at both members *)
-  forced : int;
-  force_ios : int;
-  duration : float;   (** virtual time from first flow to quiescence *)
-  mean_coordinator_lock_time : float;
-      (** virtual time the initiating side's resources stay locked per
-          transaction (long locks holds them longer at the coordinator) *)
-  trace : Trace.t;
-}
+    Each pair costs three flows (Vote(t1); Commit(t1)+Vote(t2);
+    Commit(t2)+ack(t1), the dangling acknowledgment riding the next pair's
+    opener): [3r/2] flows for even [r]; an odd tail transaction costs two. *)
 
 type ctx = {
   engine : Simkernel.Engine.t;
@@ -48,21 +21,19 @@ type ctx = {
   wal_c : Wal.Log.t;
   wal_s : Wal.Log.t;
   latency : float;
-  mutable lock_time_acc : float;
-  mutable lock_samples : int;
+  mutable lock_spans : float list;  (* newest first *)
 }
 
-let make_ctx ?(latency = 1.0) ?(io_latency = 0.5) ?group () =
+let make_ctx ~latency =
   let engine = Simkernel.Engine.create () in
-  let wal_config = { Wal.Log.io_latency; group } in
+  let wal_config = { Wal.Log.io_latency = 0.5; group = None } in
   {
     engine;
     trace = Trace.create ();
     wal_c = Wal.Log.create engine ~node:"C" ~config:wal_config ();
     wal_s = Wal.Log.create engine ~node:"S" ~config:wal_config ();
     latency;
-    lock_time_acc = 0.0;
-    lock_samples = 0;
+    lock_spans = [];
   }
 
 let now ctx = Simkernel.Engine.now ctx.engine
@@ -85,72 +56,7 @@ let append ctx wal ~txn kind =
   Wal.Log.append wal (Wal.Log_record.make ~txn ~node kind)
 
 let note_lock_span ctx ~since =
-  ctx.lock_time_acc <- ctx.lock_time_acc +. (now ctx -. since);
-  ctx.lock_samples <- ctx.lock_samples + 1
-
-(* ------------------------------------------------------------------ *)
-(* Basic chain: 4 flows per transaction                                *)
-(* ------------------------------------------------------------------ *)
-
-let rec basic_txn ctx i r k =
-  if i > r then k ()
-  else begin
-    let txn = Printf.sprintf "t%d" i in
-    let locked_at = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare" ~protocol:true (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            send ctx ~src:"S" ~dst:"C" ~label:"Ack"
-                              ~protocol:true (fun () ->
-                                append ctx ctx.wal_c ~txn Wal.Log_record.End;
-                                note_lock_span ctx ~since:locked_at;
-                                basic_txn ctx (i + 1) r k)))))))
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Long locks: 3 flows per transaction, ack rides next-txn data        *)
-(* ------------------------------------------------------------------ *)
-
-let rec long_locks_txn ctx i r k =
-  if i > r then k ()
-  else begin
-    let txn = Printf.sprintf "t%d" i in
-    let locked_at = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare(long-locks)" ~protocol:true
-      (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true
-              (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            (* the ack is withheld until the subordinate
-                               begins the next transaction: a think-time gap
-                               during which the coordinator's resources stay
-                               locked *)
-                            ignore
-                              (Simkernel.Engine.schedule ctx.engine
-                                 ~delay:1.0 (fun () ->
-                                   send ctx ~src:"S" ~dst:"C"
-                                     ~label:"Data(next txn) + Ack"
-                                     ~protocol:false (fun () ->
-                                       append ctx ctx.wal_c ~txn
-                                         Wal.Log_record.End;
-                                       (* coordinator-side resources stayed
-                                          locked until the piggybacked ack
-                                          arrived *)
-                                       note_lock_span ctx ~since:locked_at;
-                                       long_locks_txn ctx (i + 1) r k)))))))))
-  end
+  ctx.lock_spans <- (now ctx -. since) :: ctx.lock_spans
 
 (* ------------------------------------------------------------------ *)
 (* Long locks + last agent: pairs of transactions in three flows       *)
@@ -232,103 +138,19 @@ let rec ll_last_agent_pair ctx i r ~initiator_is_c k =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Entry points                                                        *)
+(* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let finish ctx ~r =
+let run ?(latency = 1.0) ~r () =
+  let ctx = make_ctx ~latency in
+  ll_last_agent_pair ctx 1 r ~initiator_is_c:true (fun () -> ());
   Simkernel.Engine.run ctx.engine;
-  let stats_c = Wal.Log.stats ctx.wal_c and stats_s = Wal.Log.stats ctx.wal_s in
+  let duration = now ctx in
   {
-    transactions = r;
-    flows = Trace.flows ctx.trace;
-    data_flows = Trace.data_flows ctx.trace;
-    writes = Trace.tm_writes ctx.trace;
-    forced = Trace.tm_forced_writes ctx.trace;
-    force_ios = stats_c.Wal.Log.force_ios + stats_s.Wal.Log.force_ios;
-    duration = now ctx;
-    mean_coordinator_lock_time =
-      (if ctx.lock_samples = 0 then 0.0
-       else ctx.lock_time_acc /. float_of_int ctx.lock_samples);
+    Run.totals =
+      Metrics.of_run ~trace:ctx.trace ~wals:[ ctx.wal_c; ctx.wal_s ] ~root:"C"
+        ~outcome:(Some Types.Committed) ~pending:false ~quiesce_time:duration;
+    duration;
+    latencies = List.rev ctx.lock_spans;
     trace = ctx.trace;
-  }
-
-let run_chain ?latency ?io_latency ?group mode ~r =
-  let ctx = make_ctx ?latency ?io_latency ?group () in
-  (match mode with
-  | Chain_basic -> basic_txn ctx 1 r (fun () -> ())
-  | Chain_long_locks -> long_locks_txn ctx 1 r (fun () -> ())
-  | Chain_long_locks_last_agent ->
-      ll_last_agent_pair ctx 1 r ~initiator_is_c:true (fun () -> ()));
-  finish ctx ~r
-
-(* ------------------------------------------------------------------ *)
-(* Group commit                                                        *)
-(* ------------------------------------------------------------------ *)
-
-type gc_result = {
-  gc_transactions : int;
-  gc_group_size : int;
-  gc_force_requests : int;  (** logical forced writes issued *)
-  gc_force_ios : int;       (** physical force I/Os after batching *)
-  gc_saved_ios : int;
-  gc_paper_saving : float;  (** the paper's 3n/2m estimate *)
-  gc_duration : float;
-  gc_mean_commit_latency : float;
-      (** group commit's cost: commits wait for their batch *)
-}
-
-(** [n] concurrent two-member transactions whose coordinator sides share
-    one log and whose subordinate sides share another (the paper's
-    "only one member of each transaction resides at each node").  Each
-    transaction issues three forced writes (subordinate Prepared,
-    coordinator Committed, subordinate Committed); the group-commit log
-    manager batches them. *)
-let run_group_commit ?(latency = 1.0) ?(io_latency = 0.5) ?(timeout = 5.0)
-    ?(stagger = 0.1) ~n ~group_size () =
-  let group =
-    if group_size <= 1 then None
-    else Some { Wal.Log.size = group_size; timeout }
-  in
-  let ctx = make_ctx ~latency ~io_latency ?group () in
-  let completed = ref 0 in
-  let latency_acc = ref 0.0 in
-  let one_txn i =
-    let txn = Printf.sprintf "g%d" i in
-    let started = now ctx in
-    send ctx ~src:"C" ~dst:"S" ~label:"Prepare" ~protocol:true (fun () ->
-        force ctx ctx.wal_s ~txn Wal.Log_record.Prepared (fun () ->
-            send ctx ~src:"S" ~dst:"C" ~label:"Vote YES" ~protocol:true (fun () ->
-                force ctx ctx.wal_c ~txn Wal.Log_record.Committed (fun () ->
-                    send ctx ~src:"C" ~dst:"S" ~label:"Commit" ~protocol:true
-                      (fun () ->
-                        force ctx ctx.wal_s ~txn Wal.Log_record.Committed
-                          (fun () ->
-                            append ctx ctx.wal_s ~txn Wal.Log_record.End;
-                            send ctx ~src:"S" ~dst:"C" ~label:"Ack"
-                              ~protocol:true (fun () ->
-                                append ctx ctx.wal_c ~txn Wal.Log_record.End;
-                                incr completed;
-                                latency_acc :=
-                                  !latency_acc +. (now ctx -. started))))))))
-  in
-  for i = 1 to n do
-    ignore
-      (Simkernel.Engine.schedule ctx.engine
-         ~delay:(float_of_int (i - 1) *. stagger)
-         (fun () -> one_txn i))
-  done;
-  Simkernel.Engine.run ctx.engine;
-  let stats_c = Wal.Log.stats ctx.wal_c and stats_s = Wal.Log.stats ctx.wal_s in
-  let requests = stats_c.Wal.Log.forced_writes + stats_s.Wal.Log.forced_writes in
-  let ios = stats_c.Wal.Log.force_ios + stats_s.Wal.Log.force_ios in
-  {
-    gc_transactions = n;
-    gc_group_size = max 1 group_size;
-    gc_force_requests = requests;
-    gc_force_ios = ios;
-    gc_saved_ios = requests - ios;
-    gc_paper_saving = Cost_model.group_commit_saving ~n ~m:(max 1 group_size);
-    gc_duration = now ctx;
-    gc_mean_commit_latency =
-      (if !completed = 0 then 0.0 else !latency_acc /. float_of_int !completed);
   }

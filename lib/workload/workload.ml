@@ -124,6 +124,52 @@ let run_table3 ?(protocol = Presumed_abort) opt ~n ~m =
   Tpc.Metrics.counts metrics
 
 (* ------------------------------------------------------------------ *)
+(* Table 4 and group commit: streams of two-member transactions        *)
+(* ------------------------------------------------------------------ *)
+
+type chain_mode = Chain_basic | Chain_long_locks | Chain_long_locks_last_agent
+
+let chain_mode_to_string = function
+  | Chain_basic -> "basic"
+  | Chain_long_locks -> "long-locks"
+  | Chain_long_locks_last_agent -> "long-locks+last-agent"
+
+let two_members ?(long_locks = false) () =
+  Tree (member "C", [ Tree (member ~long_locks "S", []) ])
+
+(** Run [r] chained transactions under one Table 4 row.  The basic and
+    long-locks rows run through {!Tpc.Participant}, the long-locks
+    subordinate thinking 1.0 before the data message that carries its
+    acknowledgment; the last-agent row is {!Tpc.Stream}'s pair schedule. *)
+let run_chain ?(latency = 1.0) mode ~r =
+  let chained tree config =
+    Tpc.Run.commit_stream ~config:(with_latency latency config) Tpc.Run.Chained
+      ~txns:r tree
+  in
+  match mode with
+  | Chain_basic ->
+      chained (two_members ()) (default_config |> with_protocol Basic)
+  | Chain_long_locks ->
+      chained
+        (two_members ~long_locks:true ())
+        (default_config
+        |> with_opts [ `Long_locks ]
+        |> with_implied_ack_delay 1.0)
+  | Chain_long_locks_last_agent -> Tpc.Stream.run ~latency ~r ()
+
+(** [n] two-member PA transactions started [stagger] apart, their
+    coordinator sides sharing one log and their subordinate sides another
+    ("only one member of each transaction resides at each node"); the log
+    managers batch force requests up to [group_size] or until [timeout]. *)
+let run_group_commit ?(timeout = 5.0) ?(stagger = 0.1) ~n ~group_size () =
+  let config =
+    if group_size <= 1 then default_config
+    else default_config |> with_group_commit ~size:group_size ~timeout
+  in
+  Tpc.Run.commit_stream ~config (Tpc.Run.Staggered stagger) ~txns:n
+    (two_members ())
+
+(* ------------------------------------------------------------------ *)
 (* Mixer sweeps                                                        *)
 (* ------------------------------------------------------------------ *)
 

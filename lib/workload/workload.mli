@@ -66,6 +66,42 @@ val run_table3 :
     simulated (flows, writes, forced) counts.  With [m = 0] the
     optimization is switched off entirely. *)
 
+(** {2 Table 4 and group commit}
+
+    Streams of transactions between two members [C] (coordinator) and [S]
+    (subordinate), both updating. *)
+
+(** The three rows of Table 4:
+    - {!Chain_basic}: the Basic protocol, full Prepare / Vote / Commit / Ack
+      per transaction: [4r] flows;
+    - {!Chain_long_locks}: PA with long locks; the subordinate withholds its
+      acknowledgment and sends it with the data message beginning the next
+      transaction: [3r] protocol flows plus [r] data flows;
+    - {!Chain_long_locks_last_agent}: long locks with the peers alternating
+      as last agent, two transactions per three flows ({!Tpc.Stream}). *)
+type chain_mode = Chain_basic | Chain_long_locks | Chain_long_locks_last_agent
+
+val chain_mode_to_string : chain_mode -> string
+
+val run_chain : ?latency:float -> chain_mode -> r:int -> Tpc.Run.stream
+(** Run [r] transactions chained as Table 4 assumes ("with small delays
+    between them"): each starts when the root reports the previous one's
+    outcome.  [latency] (default 1.0) is the one-way message delay. *)
+
+val run_group_commit :
+  ?timeout:float ->
+  ?stagger:float ->
+  n:int ->
+  group_size:int ->
+  unit ->
+  Tpc.Run.stream
+(** [n] PA transactions started [stagger] (default 0.1) apart, so that
+    their coordinator sides share one log and their subordinate sides
+    another; with [group_size > 1] each log batches force requests up to
+    [group_size] or until [timeout] (default 5.0) elapses.  Every
+    transaction issues three forced writes ([totals.tm_forced]); the
+    batching shows in [totals.force_ios] and its cost in the latencies. *)
+
 (** {2 Mixer sweeps} *)
 
 val mixer_tree : ?n:int -> opts:Tpc.Types.opt list -> unit -> Tpc.Types.tree

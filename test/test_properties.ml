@@ -206,10 +206,10 @@ let prop_group_commit_never_loses_requests =
          int_range 1 40 >>= fun n ->
          int_range 1 16 >>= fun m -> return (n, m)))
     (fun (n, m) ->
-      let r = Tpc.Stream.run_group_commit ~n ~group_size:m () in
-      r.Tpc.Stream.gc_force_requests = 3 * n
-      && r.Tpc.Stream.gc_force_ios >= 1
-      && r.Tpc.Stream.gc_force_ios <= 3 * n)
+      let t = (Workload.run_group_commit ~n ~group_size:m ()).Tpc.Run.totals in
+      t.Tpc.Metrics.tm_forced = 3 * n
+      && t.Tpc.Metrics.force_ios >= 1
+      && t.Tpc.Metrics.force_ios <= 3 * n)
 
 (* Any subset of optimization switches, over a flat tree whose members mix
    every profile flag: the commit must succeed and remain atomic. *)
@@ -298,11 +298,10 @@ let prop_chain_flows_formulas =
   Q.Test.make ~name:"chain flow formulas hold for all r" ~count:30
     (Q.make ~print:string_of_int Q.Gen.(int_range 1 30))
     (fun r ->
-      (Tpc.Stream.run_chain Tpc.Stream.Chain_basic ~r).Tpc.Stream.flows = 4 * r
-      && (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks ~r).Tpc.Stream.flows
-         = 3 * r
-      && (Tpc.Stream.run_chain Tpc.Stream.Chain_long_locks_last_agent ~r)
-           .Tpc.Stream.flows
+      let flows mode = (Workload.run_chain mode ~r).Tpc.Run.totals.Tpc.Metrics.flows in
+      flows Workload.Chain_basic = 4 * r
+      && flows Workload.Chain_long_locks = 3 * r
+      && flows Workload.Chain_long_locks_last_agent
          = (3 * (r / 2)) + (if r mod 2 = 1 then 2 else 0))
 
 let suite =

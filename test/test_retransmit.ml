@@ -143,8 +143,34 @@ let test_lost_prepare_survives_with_retries () =
   Alcotest.(check bool) "Prepare retransmitted" true
     (sends w ~src:"C" (is "Prepare") >= 2)
 
+(* An acknowledged decision leaves no retransmission timer behind: the
+   engine stops at the last real action, not [retry_interval] later. *)
+let two = Tree (member "C", [ Tree (member "S", []) ])
+
+let test_ack_cancels_retry_timer () =
+  let config = default_config |> with_trace_events false in
+  let m, w = R.commit_tree ~config two in
+  Alcotest.(check (float 1e-9)) "counter-only quiesce time" 5.5
+    m.Tpc.Metrics.quiesce_time;
+  Alcotest.(check (float 1e-9)) "engine clock" 5.5
+    (Simkernel.Engine.now w.R.engine)
+
+let test_sequence_not_delayed_by_retry_timers () =
+  let runs, _ =
+    R.commit_sequence ~work:(fun ~txn:_ ~node:_ -> R.Work_update)
+      ~txns:[ "t1"; "t2" ] two
+  in
+  Alcotest.(check (list (option (float 1e-9))))
+    "each commit starts when the previous one is done"
+    [ Some 5.5; Some 11.0 ]
+    (List.map (fun (_, m) -> m.Tpc.Metrics.completion_time) runs)
+
 let suite =
   [
+    Alcotest.test_case "ack cancels the retransmission timer" `Quick
+      test_ack_cancels_retry_timer;
+    Alcotest.test_case "sequence not delayed by retry timers" `Quick
+      test_sequence_not_delayed_by_retry_timers;
     Alcotest.test_case "PA: lost Commit retransmitted" `Quick
       test_pa_lost_commit_retransmitted;
     Alcotest.test_case "PA: abort is fire-and-forget" `Quick

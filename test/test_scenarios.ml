@@ -74,7 +74,9 @@ let test_figure6 () =
 let test_figure7 () =
   let sc = S.figure7 () in
   (* two chained long-locks transactions: 3 protocol flows each *)
-  Alcotest.(check int) "6 protocol flows" 6 (flows sc)
+  Alcotest.(check int) "6 protocol flows" 6 (flows sc);
+  Alcotest.(check int) "each ack rides a data flow" 2
+    (Tpc.Trace.data_flows sc.S.sc_trace)
 
 let test_figure8 () =
   let sc = S.figure8 () in
